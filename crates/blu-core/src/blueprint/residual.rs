@@ -352,28 +352,17 @@ impl<'a> ResidualTracker<'a> {
 /// `tests/stream_window_proptest.rs`). The counters therefore track
 /// ground truth as it churns: observations from a pre-churn topology
 /// age out of the window instead of dominating the books forever.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObservationWindow {
     capacity: usize,
     ring: VecDeque<(ClientSet, ClientSet)>,
     stats: EmpiricalAccess,
 }
 
-// Hand-rolled (the ring is a `VecDeque`, which the vendored serde has
-// no container impl for): the ring serializes as a plain sequence in
-// logical oldest-first order, so the on-disk form is canonical
-// regardless of where the ring's head sits in its backing buffer.
-impl Serialize for ObservationWindow {
-    fn to_value(&self) -> serde::Value {
-        let ring: Vec<(ClientSet, ClientSet)> = self.ring.iter().copied().collect();
-        serde::Value::Map(vec![
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("ring".to_string(), ring.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
-    }
-}
-
+// Deserialize is hand-rolled to clamp `capacity` to at least 1; the
+// derived Serialize writes the ring front to back (oldest first), so
+// the on-disk form is canonical regardless of where the ring's head
+// sits in its backing buffer.
 impl Deserialize for ObservationWindow {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let map = v

@@ -21,7 +21,7 @@ use crate::runtime::breaker::{BreakerConfig, CircuitBreaker};
 use blu_sim::faults::{FaultScript, ObservationChannel};
 use blu_sim::rng::DetRng;
 use blu_traces::schema::TestbedTrace;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 use std::path::PathBuf;
 
 /// Where a staged cell run currently is.
@@ -245,60 +245,64 @@ pub struct CellSnapshot {
 // and the derive would emit `"stream": null` into it. Field order
 // matches the declaration order the derive would use.
 impl Serialize for CellSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut m: Vec<(String, serde::Value)> = vec![
-            ("n_clients".to_string(), self.n_clients.to_value()),
-            ("trace_len".to_string(), self.trace_len.to_value()),
-            ("config_seed".to_string(), self.config_seed.to_value()),
-            ("cursor".to_string(), self.cursor.to_value()),
-            ("state".to_string(), self.state.to_value()),
-            ("done".to_string(), self.done.to_value()),
-            ("est".to_string(), self.est.to_value()),
-            ("chan".to_string(), self.chan.to_value()),
-            ("poison_rng".to_string(), self.poison_rng.to_value()),
-            ("drift".to_string(), self.drift.to_value()),
-            ("breaker".to_string(), self.breaker.to_value()),
-            ("metrics".to_string(), self.metrics.to_value()),
-            ("transitions".to_string(), self.transitions.to_value()),
-            ("verdicts".to_string(), self.verdicts.to_value()),
-            ("blueprint".to_string(), self.blueprint.to_value()),
-            ("pf_avg".to_string(), self.pf_avg.to_value()),
-            (
-                "measurement_subframes".to_string(),
-                self.measurement_subframes.to_value(),
-            ),
-            (
-                "n_remeasurements".to_string(),
-                self.n_remeasurements.to_value(),
-            ),
-            (
-                "speculative_txops".to_string(),
-                self.speculative_txops.to_value(),
-            ),
-            ("fallback_txops".to_string(), self.fallback_txops.to_value()),
-            ("probation_left".to_string(), self.probation_left.to_value()),
-            ("peak_drift".to_string(), self.peak_drift.to_value()),
-            (
-                "inference_micros".to_string(),
-                self.inference_micros.to_value(),
-            ),
-            (
-                "inference_panics".to_string(),
-                self.inference_panics.to_value(),
-            ),
-            (
-                "deadline_misses".to_string(),
-                self.deadline_misses.to_value(),
-            ),
-            (
-                "quarantined_constraints".to_string(),
-                self.quarantined_constraints.to_value(),
-            ),
-        ];
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.serialize_with_micros(serializer, self.inference_micros)
+    }
+}
+
+impl CellSnapshot {
+    /// The snapshot's fields in declaration order, with
+    /// `inference_micros` replaced by the given value.
+    fn serialize_with_micros<S: Serializer>(
+        &self,
+        serializer: S,
+        inference_micros: u64,
+    ) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let len = 26 + usize::from(self.stream.is_some());
+        let mut st = serializer.serialize_struct("CellSnapshot", len)?;
+        st.serialize_field("n_clients", &self.n_clients)?;
+        st.serialize_field("trace_len", &self.trace_len)?;
+        st.serialize_field("config_seed", &self.config_seed)?;
+        st.serialize_field("cursor", &self.cursor)?;
+        st.serialize_field("state", &self.state)?;
+        st.serialize_field("done", &self.done)?;
+        st.serialize_field("est", &self.est)?;
+        st.serialize_field("chan", &self.chan)?;
+        st.serialize_field("poison_rng", &self.poison_rng)?;
+        st.serialize_field("drift", &self.drift)?;
+        st.serialize_field("breaker", &self.breaker)?;
+        st.serialize_field("metrics", &self.metrics)?;
+        st.serialize_field("transitions", &self.transitions)?;
+        st.serialize_field("verdicts", &self.verdicts)?;
+        st.serialize_field("blueprint", &self.blueprint)?;
+        st.serialize_field("pf_avg", &self.pf_avg)?;
+        st.serialize_field("measurement_subframes", &self.measurement_subframes)?;
+        st.serialize_field("n_remeasurements", &self.n_remeasurements)?;
+        st.serialize_field("speculative_txops", &self.speculative_txops)?;
+        st.serialize_field("fallback_txops", &self.fallback_txops)?;
+        st.serialize_field("probation_left", &self.probation_left)?;
+        st.serialize_field("peak_drift", &self.peak_drift)?;
+        st.serialize_field("inference_micros", &inference_micros)?;
+        st.serialize_field("inference_panics", &self.inference_panics)?;
+        st.serialize_field("deadline_misses", &self.deadline_misses)?;
+        st.serialize_field("quarantined_constraints", &self.quarantined_constraints)?;
         if let Some(stream) = &self.stream {
-            m.push(("stream".to_string(), stream.to_value()));
+            st.serialize_field("stream", stream)?;
         }
-        serde::Value::Map(m)
+        st.end()
+    }
+}
+
+/// A borrowed snapshot that serializes with its wall-clock timing
+/// (`inference_micros`) written as `0`, without cloning the snapshot:
+/// the form the determinism contract compares (see
+/// [`snapshot_digest`](crate::runtime::snapshot_digest)).
+pub struct Untimed<'a>(pub &'a CellSnapshot);
+
+impl Serialize for Untimed<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.0.serialize_with_micros(serializer, 0)
     }
 }
 

@@ -220,6 +220,9 @@ impl CellHotState {
 #[derive(Debug, Default)]
 pub struct EngineArena {
     pub(crate) hot: CellHotState,
+    /// Solver buffers reused by every streaming refine of the cell
+    /// (see [`StreamInferStage`](crate::engine::StreamInferStage)).
+    pub(crate) infer: crate::blueprint::InferScratch,
 }
 
 impl EngineArena {

@@ -46,7 +46,7 @@ pub mod stages;
 pub use cell::{AccessMode, CellEngine};
 pub use context::{
     CellContext, CellGeometry, CellSnapshot, CheckpointPolicy, DriftMonitor, OrchestratorState,
-    SchedulerSpec, SegmentPlan, StateTransition, StreamState,
+    SchedulerSpec, SegmentPlan, StateTransition, StreamState, Untimed,
 };
 pub use fleet::FleetEngine;
 pub use hot::EngineArena;

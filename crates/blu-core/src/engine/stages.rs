@@ -438,23 +438,17 @@ impl Stage for StreamInferStage {
             ..*ctx.inference
         };
         let backend = ctx.backend;
+        // The cell's arena carries its solver scratch across refines;
+        // without one (a self-contained context) each refine starts
+        // from empty buffers. Results are identical either way.
+        let mut own_scratch = None;
+        let scratch = match ctx.arena.as_deref_mut() {
+            Some(arena) => &mut arena.infer,
+            None => own_scratch.insert(crate::blueprint::InferScratch::default()),
+        };
         let t0 = std::time::Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = crate::blueprint::InferScratch::default();
-            let mut result =
-                crate::blueprint::infer::refine_topology_with(&sys, &cfg, start, &mut scratch);
-            // A warm start that did not converge is stuck in the old
-            // blueprint's basin (a churn event moved the truth): fall
-            // back to the restart portfolio over the same window
-            // statistics. Solver time only — streaming never spends
-            // measurement sub-frames.
-            if result.verdict != InferenceVerdict::Converged {
-                let full = backend.infer_with(&sys, &cfg, &mut scratch);
-                if full.violation < result.violation {
-                    result = full;
-                }
-            }
-            result
+            stream_refine(&sys, &cfg, start, backend, scratch)
         }));
         ctx.snap.inference_micros += t0.elapsed().as_micros() as u64;
         let stream = ctx.snap.stream.as_mut().expect("checked above");
@@ -486,6 +480,28 @@ impl Stage for StreamInferStage {
         }
         Ok(StageFlow::Continue)
     }
+}
+
+/// One streaming refine: a warm-started repair from the blueprint in
+/// force; when it does not converge (a churn event moved the truth
+/// out of the old blueprint's basin), the restart portfolio over the
+/// same window statistics, keeping whichever violates less. Solver
+/// time only — streaming never spends measurement sub-frames.
+fn stream_refine(
+    sys: &ConstraintSystem,
+    cfg: &crate::blueprint::InferenceConfig,
+    start: crate::blueprint::constraints::TransformedTopology,
+    backend: &crate::blueprint::InferenceBackend,
+    scratch: &mut crate::blueprint::InferScratch,
+) -> InferenceResult {
+    let mut result = crate::blueprint::infer::refine_topology_with(sys, cfg, start, scratch);
+    if result.verdict != InferenceVerdict::Converged {
+        let full = backend.infer_with(sys, cfg, scratch);
+        if full.violation < result.violation {
+            result = full;
+        }
+    }
+    result
 }
 
 /// Decide the scheduler from the blueprint in force: a blueprint
@@ -769,6 +785,61 @@ mod tests {
     use blu_sim::time::Micros;
     use blu_traces::capture::{capture_synthetic, CaptureConfig};
     use blu_traces::schema::TestbedTrace;
+
+    #[test]
+    fn stream_refine_is_bit_identical_with_a_reused_scratch() {
+        use crate::blueprint::constraints::TransformedTopology;
+        use crate::blueprint::{InferScratch, InferenceBackend};
+        use crate::runtime::deadline::Deadline;
+        use blu_sim::topology::{HiddenTerminal, InterferenceTopology};
+        let topo = |n: usize, spec: &[(f64, &[usize])]| InterferenceTopology {
+            n_clients: n,
+            hts: spec
+                .iter()
+                .map(|&(q, edges)| HiddenTerminal {
+                    q,
+                    edges: edges.iter().copied().collect(),
+                })
+                .collect(),
+        };
+        // (blueprint in force, current truth) pairs of varying size,
+        // so the reused buffers grow and shrink between refines, and
+        // under a tight budget some refines fall back to the portfolio.
+        let cases = [
+            (
+                topo(4, &[(0.4, &[0, 1]), (0.3, &[2])]),
+                topo(4, &[(0.4, &[0, 1]), (0.55, &[2, 3])]),
+            ),
+            (
+                topo(6, &[(0.2, &[0, 1, 2]), (0.5, &[3, 4]), (0.35, &[5])]),
+                topo(6, &[(0.6, &[0, 5]), (0.25, &[1, 2, 3, 4])]),
+            ),
+            (topo(3, &[(0.5, &[0, 1, 2])]), topo(3, &[(0.5, &[0, 1, 2])])),
+            (
+                topo(5, &[]),
+                topo(5, &[(0.3, &[0, 1]), (0.45, &[2, 3]), (0.6, &[4])]),
+            ),
+        ];
+        let backend = InferenceBackend::default();
+        let mut reused = InferScratch::default();
+        let mut fallbacks = 0;
+        for steps in [1, 200, 2] {
+            let cfg = InferenceConfig {
+                deadline: Deadline::Steps(steps),
+                ..InferenceConfig::default()
+            };
+            for (in_force, truth) in &cases {
+                let sys = ConstraintSystem::from_topology(truth);
+                let start = TransformedTopology::from_topology(in_force);
+                let warm = stream_refine(&sys, &cfg, start.clone(), &backend, &mut reused);
+                let fresh =
+                    stream_refine(&sys, &cfg, start, &backend, &mut InferScratch::default());
+                assert_eq!(format!("{warm:?}"), format!("{fresh:?}"));
+                fallbacks += usize::from(warm.restarts > 1);
+            }
+        }
+        assert!(fallbacks > 0, "no refine fell back to the portfolio");
+    }
 
     #[test]
     fn stage_kinds_order_matches_pipeline() {

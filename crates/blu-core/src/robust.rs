@@ -637,7 +637,8 @@ pub(crate) fn step_cell_with(
                         &config.blu.inference,
                         &config.backend,
                         snap,
-                    );
+                    )
+                    .with_arena(arena);
                     let mut refine = StreamInferStage {
                         confidence_floor: config.confidence_floor,
                         refine_deadline_steps: scfg.refine_deadline_steps,

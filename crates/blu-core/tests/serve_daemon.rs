@@ -187,6 +187,39 @@ fn malformed_wire_input_yields_typed_errors_and_daemon_survives() {
 }
 
 #[test]
+fn overflowing_cell_duration_is_a_typed_error_and_residents_are_untouched() {
+    // `seconds` arrives over the wire and is scaled to microseconds:
+    // a count whose product overflows u64 must bounce as a typed
+    // error instead of wrapping (release) or killing the engine
+    // thread (debug), and must not disturb the cells already resident.
+    let dir = scratch_dir("overflow-secs");
+    let handle = start(&dir, false, |_| {});
+    add_cell(&handle, CellSpec::new(5, 10));
+    step(&handle, 50);
+    let before = digests(&status_of(&handle));
+
+    match ask(
+        &handle,
+        &Request::AddCell {
+            spec: CellSpec::new(6, u64::MAX),
+        },
+    ) {
+        Response::Error { message } => assert!(message.contains("overflow"), "{message}"),
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+    let status = status_of(&handle);
+    assert_eq!(digests(&status), before);
+    assert_eq!(status.counters.admissions, 1);
+    // The engine thread is still alive and stepping.
+    step(&handle, 1);
+    assert_eq!(status_of(&handle).cells.len(), 1);
+
+    handle.shutdown();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn oversized_frame_is_refused_before_allocation() {
     let dir = scratch_dir("bigframe");
     // A deliberately tiny frame limit.

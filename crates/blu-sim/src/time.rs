@@ -43,6 +43,12 @@ impl Micros {
         Micros(s * 1_000_000)
     }
 
+    /// [`Micros::from_secs`] for untrusted counts: `None` when the
+    /// microsecond count would overflow `u64`.
+    pub fn checked_from_secs(s: u64) -> Option<Self> {
+        s.checked_mul(1_000_000).map(Micros)
+    }
+
     /// The raw microsecond count.
     pub fn as_u64(self) -> u64 {
         self.0
@@ -138,6 +144,13 @@ mod tests {
         assert_eq!(Micros::from_millis(3), Micros(3_000));
         assert_eq!(Micros::from_secs(2), Micros(2_000_000));
         assert_eq!(Micros::from_secs(1), Micros::from_millis(1_000));
+        assert_eq!(Micros::checked_from_secs(2), Some(Micros::from_secs(2)));
+        assert_eq!(
+            Micros::checked_from_secs(u64::MAX / 1_000_000),
+            Some(Micros(u64::MAX / 1_000_000 * 1_000_000))
+        );
+        assert_eq!(Micros::checked_from_secs(u64::MAX / 1_000_000 + 1), None);
+        assert_eq!(Micros::checked_from_secs(u64::MAX), None);
     }
 
     #[test]
