@@ -227,14 +227,14 @@ enum Move {
 impl<'t, 'a> Repairer<'t, 'a> {
     /// Start a repair from `start`. Resets the tracker, so the same
     /// tracker can be handed to successive repairers.
-    pub(crate) fn new(res: &'t mut ResidualTracker<'a>, start: TransformedTopology) -> Self {
+    pub(crate) fn new(res: &'t mut ResidualTracker<'a>, start: &TransformedTopology) -> Self {
         res.reset();
         let mut r = Repairer {
             res,
             topo: TransformedTopology::default(),
             cand: Vec::new(),
         };
-        for ht in start.hts {
+        for ht in &start.hts {
             r.apply(Move::NewHt {
                 edges: ht.edges,
                 q_t: ht.q_t,
@@ -499,28 +499,65 @@ impl<'t, 'a> Repairer<'t, 'a> {
 }
 
 /// Reusable working memory for one inference worker: the residual
-/// tracker's flat buffers plus the weight-refinement arrays and
-/// coverage table. One scratch serves any number of successive cells
+/// tracker's flat buffers, the weight-refinement arrays and sparse
+/// coverage, and the restart records of the current portfolio. One
+/// scratch serves any number of successive cells
 /// ([`infer_topology_with`] rebinds it to each cell's constraint
 /// system), so a batch shard allocates once instead of per cell.
 /// Results are **bit-identical** to the scratch-free reference
-/// entry points — only the allocations and the refinement kernel's
-/// memory layout differ, never the floating-point operation order.
+/// entry points — only the allocations, the refinement kernel's
+/// memory layout and the replay of repeated restarts differ, never
+/// the floating-point operation order.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     tracker: TrackerBuffers,
     refine: RefineScratch,
+    restarts: Vec<RestartRecord>,
 }
 
-/// Reusable buffers of [`refine_weights_with`]: the flattened
-/// constraint target list, the weight vector, the gradient, and the
-/// constraint × terminal coverage table.
+/// Reusable buffers of [`refine_weights_with`]: the weight vector, the
+/// gradient, and the constraint × terminal coverage in compressed
+/// sparse rows — one row per constraint that at least one terminal
+/// covers, in canonical constraint order.
 #[derive(Debug, Default)]
 struct RefineScratch {
-    constraints: Vec<(ConstraintRef, f64)>,
+    rows: Vec<CoveredRow>,
+    /// Covering terminal indices, ascending within each row.
+    cols: Vec<u32>,
     q: Vec<f64>,
     grad: Vec<f64>,
-    covers: Vec<bool>,
+}
+
+/// One covered constraint of [`RefineScratch`]: its target and its
+/// span of `cols`.
+#[derive(Debug, Clone, Copy)]
+struct CoveredRow {
+    target: f64,
+    start: u32,
+    end: u32,
+}
+
+/// One restart of the portfolio that ran to its end with the deadline
+/// unexpired: its start, and everything [`infer_topology_with`] takes
+/// from running it.
+#[derive(Debug)]
+struct RestartRecord {
+    start: TransformedTopology,
+    topo: TransformedTopology,
+    violation: f64,
+    iters: usize,
+}
+
+/// Bitwise equality of two starts: same terminals in the same order,
+/// with equal edge sets and equal weight *bits*. `f64` `==` cannot be
+/// the key — it equates `-0.0` with `0.0` (which need not repair to
+/// the same bits) and never matches a NaN weight.
+fn same_start(a: &TransformedTopology, b: &TransformedTopology) -> bool {
+    a.hts.len() == b.hts.len()
+        && a.hts
+            .iter()
+            .zip(&b.hts)
+            .all(|(x, y)| x.edges == y.edges && x.q_t.to_bits() == y.q_t.to_bits())
 }
 
 /// Local polish: single-edge toggles on the inferred terminals,
@@ -565,7 +602,7 @@ fn polish_impl(
     let sys = tracker.sys();
     for _ in 0..passes {
         let mut improved = false;
-        let mut r = Repairer::new(tracker, topo.clone());
+        let mut r = Repairer::new(tracker, topo);
         for k in 0..r.topo.hts.len() {
             for i in 0..sys.n {
                 let ht = r.topo.hts[k];
@@ -668,12 +705,16 @@ pub fn refine_weights(sys: &ConstraintSystem, topo: &mut TransformedTopology) {
 }
 
 /// [`refine_weights`] against caller-provided scratch. The coverage
-/// table (which terminal contributes to which constraint) is filled
-/// once up front — the edge structure is held fixed here, so the 400
-/// gradient iterations read it instead of re-testing bitsets — and
-/// every buffer is recycled across calls. Iteration order (constraints
-/// canonical, terminals ascending) matches [`refine_weights`]'s
-/// historical loop exactly, so the refined weights are bit-identical.
+/// (which terminals contribute to which constraint) is built once up
+/// front as compressed sparse rows — the edge structure is held fixed
+/// here, so the 400 gradient iterations walk each row's covering
+/// terminals instead of re-testing bitsets — and every buffer is
+/// recycled across calls. Rows no terminal covers are dropped: they
+/// never touch the gradient. The floating-point operations are those
+/// of [`refine_weights`] in the same order (each row's contribution
+/// summed over terminals ascending, the gradient accumulated in
+/// canonical row order, the step still `1 / all constraints`), so the
+/// refined weights are bit-identical.
 fn refine_weights_with(
     sys: &ConstraintSystem,
     topo: &mut TransformedTopology,
@@ -683,56 +724,53 @@ fn refine_weights_with(
     if h == 0 {
         return;
     }
-    // Rows: every constraint; columns: HTs. Entry 1 if HT contributes.
-    let contributes = |c: ConstraintRef, ht: &TransformedHt| -> bool {
-        match c {
-            ConstraintRef::Individual(i) => ht.edges.contains(i),
-            ConstraintRef::Pair(i, j) => ht.edges.contains(i) && ht.edges.contains(j),
+    let RefineScratch {
+        rows,
+        cols,
+        q,
+        grad,
+    } = scratch;
+    rows.clear();
+    cols.clear();
+    let mut n_constraints = 0usize;
+    for c in sys.all_constraints() {
+        n_constraints += 1;
+        let (target, needs) = match c {
+            ConstraintRef::Individual(i) => (sys.individual[i], ClientSet::singleton(i)),
+            ConstraintRef::Pair(i, j) => (
+                sys.pair[pair_index(sys.n, i, j)],
+                ClientSet::from_iter([i, j]),
+            ),
             ConstraintRef::Triple(t) => {
                 let (i, j, k) = sys.triples[t].clients;
-                ht.edges.contains(i) && ht.edges.contains(j) && ht.edges.contains(k)
+                (sys.triples[t].target, ClientSet::from_iter([i, j, k]))
             }
-        }
-    };
-    let constraints = &mut scratch.constraints;
-    constraints.clear();
-    constraints.extend(sys.all_constraints().map(|c| {
-        let target = match c {
-            ConstraintRef::Individual(i) => sys.individual[i],
-            ConstraintRef::Pair(i, j) => sys.pair[pair_index(sys.n, i, j)],
-            ConstraintRef::Triple(t) => sys.triples[t].target,
         };
-        (c, target)
-    }));
-    let covers = &mut scratch.covers;
-    covers.clear();
-    for &(c, _) in constraints.iter() {
-        covers.extend(topo.hts.iter().map(|ht| contributes(c, ht)));
+        let start = cols.len() as u32;
+        cols.extend((0..h as u32).filter(|&k| needs.is_subset_of(topo.hts[k as usize].edges)));
+        let end = cols.len() as u32;
+        if end > start {
+            rows.push(CoveredRow { target, start, end });
+        }
     }
-    let q = &mut scratch.q;
     q.clear();
     q.extend(topo.hts.iter().map(|ht| ht.q_t));
     // Lipschitz-safe step: 1 / (max column count × rows touched).
-    let step = 1.0 / (constraints.len() as f64).max(1.0);
+    let step = 1.0 / (n_constraints as f64).max(1.0);
     // One gradient buffer for all 400 iterations.
-    let grad = &mut scratch.grad;
     grad.clear();
     grad.resize(h, 0.0);
     for _ in 0..400 {
         grad.iter_mut().for_each(|g| *g = 0.0);
-        for (row, &(_, target)) in constraints.iter().enumerate() {
-            let cover = &covers[row * h..(row + 1) * h];
+        for row in rows.iter() {
+            let cover = &cols[row.start as usize..row.end as usize];
             let mut contrib = 0.0;
-            for k in 0..h {
-                if cover[k] {
-                    contrib += q[k];
-                }
+            for &k in cover {
+                contrib += q[k as usize];
             }
-            let r = contrib - target;
-            for k in 0..h {
-                if cover[k] {
-                    grad[k] += 2.0 * r;
-                }
+            let r = contrib - row.target;
+            for &k in cover {
+                grad[k as usize] += 2.0 * r;
             }
         }
         let mut moved = 0.0;
@@ -769,7 +807,7 @@ pub fn infer_topology(sys: &ConstraintSystem, config: &InferenceConfig) -> Infer
     let mut total_iters = 0;
     let mut token = config.deadline.token();
     for start in starts {
-        let repairer = Repairer::new(&mut tracker, start);
+        let repairer = Repairer::new(&mut tracker, &start);
         let (mut topo, mut v, iters) = repairer.run(config.max_iters, config.epsilon, &mut token);
         total_iters += iters;
         // Skip the (unbudgeted) refinement pass once out of budget:
@@ -817,33 +855,72 @@ pub fn infer_topology(sys: &ConstraintSystem, config: &InferenceConfig) -> Infer
 
 /// [`infer_topology`] against caller-provided scratch: the tracker's
 /// flat buffers are rebound to this cell's constraint system instead
-/// of allocated, and weight refinement runs its coverage-table kernel
-/// ([`refine_weights_with`]) from recycled arrays — so a worker
-/// blue-printing many cells in a row pays the allocations once and
-/// skips the per-iteration bitset re-tests. Bit-identical to
-/// [`infer_topology`] (pinned by the batch differential tests).
+/// of allocated, weight refinement runs its sparse-coverage kernel
+/// ([`refine_weights_with`]) from recycled arrays, and a start
+/// bitwise equal to an earlier one in the same
+/// portfolio (see [`same_start`]) is not run again: repair, refinement
+/// and polish are pure functions of the start, so the earlier
+/// restart's result is replayed — provided the deadline token can
+/// account for its iterations exactly ([`DeadlineToken::try_replay`]).
+/// Bit-identical to [`infer_topology`] (pinned by the batch and
+/// portfolio differential tests).
 pub fn infer_topology_with(
     sys: &ConstraintSystem,
     config: &InferenceConfig,
     scratch: &mut InferScratch,
 ) -> InferenceResult {
     let starts = crate::blueprint::init::starting_topologies(sys, config.random_restarts);
+    run_portfolio_with(sys, config, starts, scratch)
+}
+
+/// The restart loop of [`infer_topology_with`] over any start
+/// sequence.
+fn run_portfolio_with(
+    sys: &ConstraintSystem,
+    config: &InferenceConfig,
+    starts: Vec<TransformedTopology>,
+    scratch: &mut InferScratch,
+) -> InferenceResult {
     let restarts = starts.len();
     let mut tracker = ResidualTracker::rebind(sys, std::mem::take(&mut scratch.tracker));
+    let records = &mut scratch.restarts;
+    records.clear();
     let mut best: Option<(TransformedTopology, f64)> = None;
     let mut total_iters = 0;
     let mut token = config.deadline.token();
     for start in starts {
-        let repairer = Repairer::new(&mut tracker, start);
-        let (mut topo, mut v, iters) = repairer.run(config.max_iters, config.epsilon, &mut token);
-        total_iters += iters;
-        // Skip the (unbudgeted) refinement pass once out of budget:
-        // the anytime contract is "best repaired state so far, now".
-        if config.refine_weights && v > config.epsilon && !token.expired() {
-            refine_weights_with(sys, &mut topo, &mut scratch.refine);
-            polish_with(&mut tracker, &mut topo, 6, &mut scratch.refine);
-            v = sys.total_violation(&topo);
-        }
+        let replay = records
+            .iter()
+            .find(|rec| same_start(&rec.start, &start))
+            .filter(|rec| token.try_replay(rec.iters as u64));
+        let (topo, v) = if let Some(rec) = replay {
+            total_iters += rec.iters;
+            (rec.topo.clone(), rec.violation)
+        } else {
+            let repairer = Repairer::new(&mut tracker, &start);
+            let (mut topo, mut v, iters) =
+                repairer.run(config.max_iters, config.epsilon, &mut token);
+            total_iters += iters;
+            // Skip the (unbudgeted) refinement pass once out of
+            // budget: the anytime contract is "best repaired state so
+            // far, now".
+            if config.refine_weights && v > config.epsilon && !token.expired() {
+                refine_weights_with(sys, &mut topo, &mut scratch.refine);
+                polish_with(&mut tracker, &mut topo, 6, &mut scratch.refine);
+                v = sys.total_violation(&topo);
+            }
+            // Only a restart that ran to its end is a pure function of
+            // its start; one cut by the deadline is not replayable.
+            if !token.expired() {
+                records.push(RestartRecord {
+                    start,
+                    topo: topo.clone(),
+                    violation: v,
+                    iters,
+                });
+            }
+            (topo, v)
+        };
         let better = match &best {
             None => true,
             Some((bt, bv)) => {
@@ -902,7 +979,7 @@ pub fn refine_topology_with(
 ) -> InferenceResult {
     let mut tracker = ResidualTracker::rebind(sys, std::mem::take(&mut scratch.tracker));
     let mut token = config.deadline.token();
-    let repairer = Repairer::new(&mut tracker, start);
+    let repairer = Repairer::new(&mut tracker, &start);
     let (mut topo, mut v, iterations) = repairer.run(config.max_iters, config.epsilon, &mut token);
     if config.refine_weights && v > config.epsilon && !token.expired() {
         refine_weights_with(sys, &mut topo, &mut scratch.refine);
@@ -986,7 +1063,7 @@ mod tests {
         let sys = ConstraintSystem::from_topology(&t);
         let start = TransformedTopology::from_topology(&t);
         let mut tracker = ResidualTracker::new(&sys);
-        let r = Repairer::new(&mut tracker, start.clone());
+        let r = Repairer::new(&mut tracker, &start);
         let (out, v, iters) = r.run(100, 1e-9, &mut Deadline::None.token());
         assert!(v < 1e-9, "violation {v}");
         assert!(iters <= 2);
@@ -1076,6 +1153,175 @@ mod tests {
         }
         let mean = total_acc / trials as f64;
         assert!(mean > 0.8, "mean exact-edge accuracy {mean}");
+    }
+}
+
+#[cfg(test)]
+mod fast_path_tests {
+    use super::*;
+    use crate::blueprint::constraints::TripleConstraint;
+    use proptest::prelude::*;
+
+    /// A random transformed topology over `n` clients whose terminals
+    /// touch only the clients in `reach`, so every constraint on a
+    /// client outside it is an uncovered row.
+    fn sparse_topology(
+        n: usize,
+        reach: u128,
+        h: usize,
+        rng: &mut blu_sim::rng::DetRng,
+    ) -> TransformedTopology {
+        let hts = (0..h)
+            .map(|_| {
+                let mut edges = ClientSet::EMPTY;
+                while edges.is_empty() {
+                    for i in (0..n).filter(|&i| reach >> i & 1 == 1) {
+                        if rng.chance(0.4) {
+                            edges.insert(i);
+                        }
+                    }
+                }
+                TransformedHt {
+                    q_t: rng.range_f64(0.01, 1.5),
+                    edges,
+                }
+            })
+            .collect();
+        TransformedTopology { hts }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sparse-coverage kernel against the plain reference, on
+        /// systems that leave rows uncovered, with triples, and with
+        /// more than 64 terminals; one scratch serves every system.
+        #[test]
+        fn sparse_refine_matches_reference(
+            seed in any::<u64>(),
+            n in 2usize..=12,
+            reach_bits in any::<u128>(),
+            h in 1usize..=80,
+            triples in 0usize..=4,
+        ) {
+            let mut rng = blu_sim::rng::DetRng::seed_from_u64(seed);
+            let mut sys = ConstraintSystem {
+                n,
+                individual: (0..n).map(|_| rng.range_f64(0.0, 1.0)).collect(),
+                pair: (0..n * (n - 1) / 2).map(|_| rng.range_f64(0.0, 0.5)).collect(),
+                triples: Vec::new(),
+            };
+            if n >= 3 {
+                for _ in 0..triples {
+                    let i = rng.below(n - 2);
+                    let j = i + 1 + rng.below(n - 2 - i);
+                    let k = j + 1 + rng.below(n - 1 - j);
+                    sys.triples.push(TripleConstraint {
+                        clients: (i, j, k),
+                        target: rng.range_f64(0.0, 0.3),
+                    });
+                }
+            }
+            // At least one client in reach, and (when n > 1) usually
+            // some left out.
+            let reach = (reach_bits & ((1u128 << n) - 1)).max(1);
+            let start = sparse_topology(n, reach, h, &mut rng);
+            let mut reference = start.clone();
+            refine_weights(&sys, &mut reference);
+            SCRATCH.with(|scratch| {
+                let mut fast = start.clone();
+                refine_weights_with(&sys, &mut fast, &mut scratch.borrow_mut());
+                prop_assert_eq!(fast.hts.len(), reference.hts.len());
+                for (a, b) in fast.hts.iter().zip(&reference.hts) {
+                    prop_assert_eq!(a.edges, b.edges);
+                    prop_assert_eq!(a.q_t.to_bits(), b.q_t.to_bits());
+                }
+                Ok(())
+            })?;
+        }
+    }
+
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<RefineScratch> =
+            std::cell::RefCell::new(RefineScratch::default());
+    }
+
+    #[test]
+    fn signed_zero_weights_are_different_starts() {
+        let ht = |q_t: f64| TransformedHt {
+            q_t,
+            edges: ClientSet::from_iter([0, 1]),
+        };
+        let pos = TransformedTopology {
+            hts: vec![ht(0.3), ht(0.0)],
+        };
+        let neg = TransformedTopology {
+            hts: vec![ht(0.3), ht(-0.0)],
+        };
+        assert_eq!(pos, neg, "f64 == equates the two");
+        assert!(!same_start(&pos, &neg));
+        assert!(same_start(&pos, &pos.clone()));
+        // NaN weights with equal bits are the same start (f64 ==
+        // would never match them).
+        let nan = TransformedTopology {
+            hts: vec![ht(f64::NAN)],
+        };
+        assert!(same_start(&nan, &nan.clone()));
+        // Order matters: the repair applies terminals in order.
+        let swapped = TransformedTopology {
+            hts: vec![ht(0.0), ht(0.3)],
+        };
+        assert!(!same_start(&pos, &swapped));
+    }
+
+    /// Starts that differ only in a signed zero are both run (two
+    /// records); a bitwise repeat is replayed (one record) and returns
+    /// what running it again returns.
+    #[test]
+    fn signed_zero_start_is_not_replayed() {
+        let t = InterferenceTopology {
+            n_clients: 4,
+            hts: vec![
+                blu_sim::topology::HiddenTerminal {
+                    q: 0.4,
+                    edges: ClientSet::from_iter([0, 1, 2]),
+                },
+                blu_sim::topology::HiddenTerminal {
+                    q: 0.3,
+                    edges: ClientSet::from_iter([2, 3]),
+                },
+            ],
+        };
+        let mut sys = ConstraintSystem::from_topology(&t);
+        // Noise keeps every restart above epsilon, so none stops the
+        // portfolio early.
+        sys.pair[0] *= 1.3;
+        sys.individual[3] *= 0.8;
+        let config = InferenceConfig::default();
+        let start = |zero: f64| TransformedTopology {
+            hts: vec![
+                TransformedHt {
+                    q_t: zero,
+                    edges: ClientSet::from_iter([0, 1]),
+                },
+                TransformedHt {
+                    q_t: 0.2,
+                    edges: ClientSet::from_iter([1, 2, 3]),
+                },
+            ],
+        };
+        let mut scratch = InferScratch::default();
+        let signed = vec![start(0.0), start(-0.0)];
+        let both = run_portfolio_with(&sys, &config, signed, &mut scratch);
+        assert_eq!(scratch.restarts.len(), 2, "-0.0 must not replay 0.0");
+        let repeated = vec![start(0.0), start(0.0)];
+        let replayed = run_portfolio_with(&sys, &config, repeated, &mut scratch);
+        assert_eq!(scratch.restarts.len(), 1, "a bitwise repeat is replayed");
+        let once = run_portfolio_with(&sys, &config, vec![start(0.0)], &mut scratch);
+        assert!(both.violation > config.epsilon);
+        assert_eq!(replayed.topology, once.topology);
+        assert_eq!(replayed.violation.to_bits(), once.violation.to_bits());
+        assert_eq!(replayed.iterations, 2 * once.iterations);
     }
 }
 

@@ -91,6 +91,12 @@ pub use crate::engine::context::{
     CheckpointPolicy, DriftMonitor, OrchestratorState, StateTransition,
 };
 
+/// Largest streaming observation window, in sub-frames. The ring is
+/// allocated in full on a cell's first step, so an unbounded window
+/// taken from a wire `CellSpec` or a flag would abort the process on
+/// allocation; 65,536 is 32× the 2,000 the benchmark and CI run.
+pub const MAX_STREAM_WINDOW: usize = 65_536;
+
 /// Streaming online-inference knobs: with
 /// [`RobustConfig::streaming`] set, the Confident arm carries a
 /// sliding [`ObservationWindow`](crate::blueprint::ObservationWindow)
@@ -127,6 +133,12 @@ impl StreamingConfig {
             return Err(BluError::InvalidConfig(
                 "streaming window must be positive".into(),
             ));
+        }
+        if self.window > MAX_STREAM_WINDOW {
+            return Err(BluError::InvalidConfig(format!(
+                "streaming window must be at most {MAX_STREAM_WINDOW} sub-frames, got {}",
+                self.window
+            )));
         }
         if self.min_window > self.window {
             return Err(BluError::InvalidConfig(
@@ -1606,6 +1618,21 @@ mod tests {
             "post-churn lookup must miss the pre-churn entry"
         );
         assert_eq!(stats.misses, 2);
+    }
+
+    #[test]
+    fn streaming_window_is_bounded() {
+        assert!(StreamingConfig::new(2_000).validate().is_ok());
+        assert!(StreamingConfig::new(MAX_STREAM_WINDOW).validate().is_ok());
+        for window in [MAX_STREAM_WINDOW + 1, 1 << 40, usize::MAX] {
+            assert!(
+                matches!(
+                    StreamingConfig::new(window).validate(),
+                    Err(BluError::InvalidConfig(_))
+                ),
+                "window {window} must be refused"
+            );
+        }
     }
 
     // ------------------------------------------------------------------

@@ -158,6 +158,34 @@ impl DeadlineToken {
         }
     }
 
+    /// Account for `n` work units whose result the caller already
+    /// holds (a replayed restart), without running them. Succeeds —
+    /// and leaves the token exactly as `n` successful [`tick`]s would
+    /// — only when those ticks are guaranteed to succeed:
+    ///
+    /// * [`Deadline::None`]: always (ticks never fail).
+    /// * [`Deadline::Steps`]: when the token is not expired and
+    ///   `units + n <= budget`; `units` then advances by `n`.
+    /// * [`Deadline::Wall`]: never — whether `n` more units fit is a
+    ///   question for the clock, so the caller must run them.
+    ///
+    /// On failure the token is untouched.
+    ///
+    /// [`tick`]: Self::tick
+    pub fn try_replay(&mut self, n: u64) -> bool {
+        match self.arm {
+            Arm::None => true,
+            Arm::Steps { budget } => {
+                let fits = !self.expired && self.units.checked_add(n).is_some_and(|u| u <= budget);
+                if fits {
+                    self.units += n;
+                }
+                fits
+            }
+            Arm::Wall { .. } => false,
+        }
+    }
+
     /// Whether the budget ran out.
     pub fn expired(&self) -> bool {
         self.expired
@@ -240,6 +268,73 @@ mod tests {
         }
         assert!(!t.expired());
         assert_eq!(t.units(), 10_000);
+    }
+
+    #[test]
+    fn none_always_replays_and_counts_nothing() {
+        let mut t = Deadline::None.token();
+        assert!(t.try_replay(0));
+        assert!(t.try_replay(u64::MAX));
+        assert!(!t.expired());
+        assert_eq!(t.units(), 0);
+    }
+
+    #[test]
+    fn steps_replay_fits_exactly_at_the_budget_boundary() {
+        let mut t = Deadline::Steps(10).token();
+        for _ in 0..3 {
+            assert!(!t.tick());
+        }
+        // 3 + 8 > 10: refused, token untouched.
+        assert!(!t.try_replay(8));
+        assert_eq!(t.units(), 3);
+        assert!(!t.expired());
+        // 3 + 7 == 10: fits, and leaves the token exactly where seven
+        // successful ticks would.
+        let mut ticked = t.clone();
+        for _ in 0..7 {
+            assert!(!ticked.tick());
+        }
+        assert!(t.try_replay(7));
+        assert_eq!(t.units(), ticked.units());
+        assert_eq!(t.expired(), ticked.expired());
+        assert!(!t.expired(), "a spent budget expires on the next tick");
+        // A zero-unit replay at a full budget still fits; the next
+        // unit does not, and the next tick expires the token.
+        assert!(t.try_replay(0));
+        assert!(!t.try_replay(1));
+        assert!(t.tick());
+        assert_eq!(t.units(), 10);
+        assert_eq!(t.overshoot(), 0);
+    }
+
+    #[test]
+    fn steps_replay_never_wraps() {
+        let mut t = Deadline::Steps(u64::MAX).token();
+        assert!(!t.tick());
+        assert!(!t.try_replay(u64::MAX));
+        assert_eq!(t.units(), 1);
+        assert!(t.try_replay(u64::MAX - 1));
+        assert_eq!(t.units(), u64::MAX);
+    }
+
+    #[test]
+    fn expired_token_never_replays() {
+        let mut t = Deadline::Steps(1).token();
+        assert!(!t.tick());
+        assert!(t.tick());
+        assert!(t.expired());
+        assert!(!t.try_replay(0));
+        assert_eq!(t.units(), 1);
+    }
+
+    #[test]
+    fn wall_never_replays() {
+        let mut t = Deadline::Wall(Duration::from_secs(3600)).token();
+        assert!(!t.try_replay(0));
+        assert!(!t.try_replay(1));
+        assert_eq!(t.units(), 0);
+        assert!(!t.expired());
     }
 
     #[test]

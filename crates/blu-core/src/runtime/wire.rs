@@ -97,6 +97,13 @@ impl CellSpec {
                 "cell spec stall_factor must be >= 1".into(),
             ));
         }
+        if self.stream_window > crate::robust::MAX_STREAM_WINDOW as u64 {
+            return Err(BluError::InvalidConfig(format!(
+                "cell spec stream_window must be at most {} sub-frames, got {}",
+                crate::robust::MAX_STREAM_WINDOW,
+                self.stream_window
+            )));
+        }
         Ok(())
     }
 }
@@ -482,6 +489,28 @@ mod tests {
         ] {
             let err = decode_request(&garbage).unwrap_err();
             assert!(matches!(err, BluError::Wire(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn cell_spec_stream_window_is_bounded() {
+        let spec = |stream_window| CellSpec {
+            stream_window,
+            ..CellSpec::new(1, 10)
+        };
+        assert!(spec(2_000).validate().is_ok());
+        assert!(spec(crate::robust::MAX_STREAM_WINDOW as u64)
+            .validate()
+            .is_ok());
+        for window in [
+            crate::robust::MAX_STREAM_WINDOW as u64 + 1,
+            1 << 40,
+            u64::MAX,
+        ] {
+            assert!(
+                matches!(spec(window).validate(), Err(BluError::InvalidConfig(_))),
+                "stream_window {window} must be refused"
+            );
         }
     }
 

@@ -219,6 +219,102 @@ fn overflowing_cell_duration_is_a_typed_error_and_residents_are_untouched() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn sidecars(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter(|e| {
+                    e.as_ref()
+                        .is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".serve.json"))
+                })
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+#[test]
+fn deeply_nested_frame_is_a_typed_error_and_residents_are_untouched() {
+    // 200,000 `[` in a 200 KB frame (under the 1 MiB frame limit):
+    // decoding must stop at the parser's nesting limit with a typed
+    // reply instead of recursing off the connection thread's stack.
+    let dir = scratch_dir("deep-frame");
+    let handle = start(&dir, false, |_| {});
+    add_cell(&handle, CellSpec::new(5, 10));
+    step(&handle, 50);
+    let before = digests(&status_of(&handle));
+
+    let mut payload = br#"{"AddCell":{"spec":"#.to_vec();
+    payload.extend(std::iter::repeat_n(b'[', 200_000));
+    let mut stream = connect(&handle);
+    write_frame(&mut stream, &payload, DEFAULT_MAX_FRAME).expect("write deep frame");
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+        .expect("read reply")
+        .expect("the daemon answers the deep frame");
+    match serde_json::from_slice::<Response>(&reply).expect("typed reply") {
+        Response::Error { message } => {
+            assert!(message.contains("recursion limit"), "{message}")
+        }
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+    drop(stream);
+
+    // Still serving, the resident cell unchanged and still stepping.
+    let status = status_of(&handle);
+    assert_eq!(digests(&status), before);
+    assert_eq!(status.counters.admissions, 1);
+    step(&handle, 1);
+    assert_eq!(status_of(&handle).cells.len(), 1);
+
+    handle.shutdown();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unbounded_stream_window_is_refused_at_admission() {
+    // The observation ring is allocated on the cell's first step; a
+    // window past the bound must bounce at admission with a typed
+    // error, before a sidecar makes it part of the resume roster.
+    let dir = scratch_dir("stream-window");
+    let handle = start(&dir, false, |_| {});
+    add_cell(
+        &handle,
+        CellSpec {
+            stream_window: 2_000,
+            churn_millihz: 500,
+            ..CellSpec::new(5, 10)
+        },
+    );
+    step(&handle, 50);
+    let before = digests(&status_of(&handle));
+    assert_eq!(sidecars(&dir), 1);
+
+    for stream_window in [1u64 << 40, u64::MAX] {
+        let spec = CellSpec {
+            stream_window,
+            ..CellSpec::new(6, 10)
+        };
+        match ask(&handle, &Request::AddCell { spec }) {
+            Response::Error { message } => {
+                assert!(message.contains("invalid configuration"), "{message}");
+                assert!(message.contains("stream_window"), "{message}");
+            }
+            other => panic!("expected a typed InvalidConfig error, got {other:?}"),
+        }
+        assert_eq!(sidecars(&dir), 1, "a refused cell writes no sidecar");
+        let status = status_of(&handle);
+        assert_eq!(digests(&status), before);
+        assert_eq!(status.counters.admissions, 1);
+    }
+    // The engine thread is alive and the resident cell steps on.
+    step(&handle, 1);
+    assert_eq!(status_of(&handle).cells.len(), 1);
+
+    handle.shutdown();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn oversized_frame_is_refused_before_allocation() {
     let dir = scratch_dir("bigframe");
