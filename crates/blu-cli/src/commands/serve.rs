@@ -18,7 +18,7 @@ use crate::args::Flags;
 use blu_core::blueprint::FleetBlueprintCache;
 use blu_core::orchestrator::BluConfig;
 use blu_core::robust::RobustConfig;
-use blu_core::runtime::supervisor::SupervisorConfig;
+use blu_core::runtime::supervisor::{SheddingPolicy, SupervisorConfig};
 use blu_core::runtime::{BluService, ServiceConfig};
 use blu_core::EmulationConfig;
 use blu_phy::cell::CellConfig;
@@ -110,6 +110,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     let high = flags.get_or("high", f64::INFINITY)?;
+    let low = flags.get_or("low", high)?;
     let mut config = ServiceConfig::new(robust, dir);
     config.addr = flags.get_or("addr", config.addr)?;
     config.resume = flags.has("resume");
@@ -119,10 +120,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     config.max_frame = flags.get_or("max-frame", config.max_frame)?;
     config.read_timeout_ms = flags.get_or("read-timeout-ms", config.read_timeout_ms)?;
     config.cadence_ms = flags.get_or("cadence-ms", 0u64)?;
-    config.high_watermark = high;
-    config.low_watermark = flags.get_or("low", high)?;
     config.supervisor = SupervisorConfig {
         max_restarts: flags.get_or("max-restarts", 3u32)?,
+        // The default, an infinite high watermark, never sheds.
+        shedding: high.is_finite().then(|| SheddingPolicy {
+            high_watermark: high,
+            low_watermark: low,
+            priorities: Vec::new(),
+        }),
         ..SupervisorConfig::default()
     };
 

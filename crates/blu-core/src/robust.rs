@@ -82,9 +82,7 @@ use crate::metrics::UplinkMetrics;
 use crate::orchestrator::BluConfig;
 use crate::runtime::breaker::{BreakerConfig, BreakerPoll, BreakerTransition};
 use crate::runtime::checkpoint::{load_robust_checkpoint, save_robust_checkpoint};
-use crate::runtime::panic_message;
 use blu_traces::faults::FaultyCapture;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use crate::engine::context::CellSnapshot as RobustSnapshot;
 pub use crate::engine::context::{
@@ -354,133 +352,9 @@ impl RobustRunReport {
     }
 }
 
-/// One cell's robust loop, decomposed into resumable steps: a thin
-/// state-machine driver over the engine's stage pipeline. Public API
-/// stays [`run_blu_robust`]/[`run_robust_fleet`]; the driver exists so
-/// checkpointing can interleave with stepping and so tests can kill
-/// and resume a run mid-flight.
-pub(crate) struct RobustDriver<'a> {
-    capture: &'a FaultyCapture,
-    config: &'a RobustConfig,
-    geom: CellGeometry,
-    pub(crate) snap: RobustSnapshot,
-    /// Recycled engine hot-state buffers, adopted by every transmit
-    /// segment this driver runs (and swappable with a fleet shard's
-    /// arena so cells sharing a shard share buffers). Not part of the
-    /// checkpointable snapshot — it is pure cache.
-    pub(crate) arena: EngineArena,
-}
-
-impl<'a> RobustDriver<'a> {
-    /// Start a fresh run.
-    pub(crate) fn new(
-        capture: &'a FaultyCapture,
-        config: &'a RobustConfig,
-    ) -> Result<Self, BluError> {
-        let trace = &capture.trace;
-        trace.validate().map_err(BluError::InvalidTrace)?;
-        config.validate()?;
-        let n = trace.ground_truth.n_clients;
-        let trace_len = trace.access.len() as u64;
-        let k_max = config.blu.emulation.cell.max_ues_per_subframe;
-
-        // The initial measurement phase must fit; later phases that
-        // run off the end of the trace simply end the run in whatever
-        // state it was in (there is no more air to schedule anyway).
-        {
-            let plan = measurement_schedule(n, k_max, config.blu.t_samples)?;
-            if plan.t_max() > trace_len {
-                return Err(BluError::TraceTooShort {
-                    what: "robust initial measurement phase",
-                    needed: plan.t_max(),
-                    available: trace_len,
-                });
-            }
-        }
-
-        let snap = RobustSnapshot::fresh(
-            n,
-            trace_len,
-            config.seed,
-            config.drift_alpha,
-            config.breaker,
-        );
-        Ok(RobustDriver::with_snapshot(capture, config, snap))
-    }
-
-    /// Continue from a restored snapshot, guarding against resuming
-    /// against the wrong capture or a reconfigured run.
-    pub(crate) fn resume(
-        capture: &'a FaultyCapture,
-        config: &'a RobustConfig,
-        snap: RobustSnapshot,
-    ) -> Result<Self, BluError> {
-        let trace = &capture.trace;
-        trace.validate().map_err(BluError::InvalidTrace)?;
-        config.validate()?;
-        let n = trace.ground_truth.n_clients as u64;
-        let trace_len = trace.access.len() as u64;
-        if snap.n_clients != n || snap.trace_len != trace_len {
-            return Err(BluError::Checkpoint(format!(
-                "snapshot was taken against a different capture \
-                 ({} clients / {} sub-frames, run has {} / {})",
-                snap.n_clients, snap.trace_len, n, trace_len
-            )));
-        }
-        if snap.config_seed != config.seed {
-            return Err(BluError::Checkpoint(format!(
-                "snapshot seed {:#x} does not match configured seed {:#x}",
-                snap.config_seed, config.seed
-            )));
-        }
-        Ok(RobustDriver::with_snapshot(capture, config, snap))
-    }
-
-    fn with_snapshot(
-        capture: &'a FaultyCapture,
-        config: &'a RobustConfig,
-        snap: RobustSnapshot,
-    ) -> Self {
-        RobustDriver {
-            capture,
-            config,
-            geom: CellGeometry::derive(&capture.trace, &config.blu.emulation),
-            snap,
-            arena: EngineArena::new(),
-        }
-    }
-
-    /// Execute one state-machine arm. Returns `Ok(false)` once the
-    /// trace is exhausted (the run is complete).
-    pub(crate) fn step(&mut self) -> Result<bool, BluError> {
-        self.step_with(&mut NullObserver)
-    }
-
-    /// [`Self::step`] with an observer tapped into the stage pipeline
-    /// — the supervisor's watchdog heartbeat source.
-    pub(crate) fn step_with(
-        &mut self,
-        observer: &mut dyn crate::engine::SubframeObserver,
-    ) -> Result<bool, BluError> {
-        step_cell_with(
-            self.capture,
-            self.config,
-            &self.geom,
-            &mut self.snap,
-            &mut self.arena,
-            observer,
-        )
-    }
-
-    /// Drain one PF-only segment, ignoring the state machine: the arm
-    /// the supervisor runs for quarantined or load-shed cells.
-    pub(crate) fn step_shed(&mut self) -> Result<bool, BluError> {
-        step_cell_shed(self.capture, self.config, &mut self.snap, &mut self.arena)
-    }
-
-    /// Finish: fold the snapshot into the public report.
-    pub(crate) fn into_report(self) -> RobustRunReport {
-        let snap = self.snap;
+impl RobustRunReport {
+    /// Fold a cell's final snapshot into its report.
+    pub(crate) fn from_snapshot(snap: RobustSnapshot) -> Self {
         let stream = snap.stream.as_ref();
         RobustRunReport {
             stream_refines: stream.map_or(0, |s| s.refines),
@@ -510,12 +384,63 @@ impl<'a> RobustDriver<'a> {
     }
 }
 
-/// One state-machine step of the robust loop, over caller-held
-/// storage — the body of [`RobustDriver::step_with`], factored free so
-/// callers that *own* their capture and config (the `blu serve`
-/// daemon's resident cells, which cannot hold a borrowing driver
-/// across rounds) step through the identical code path as the batch
-/// entry points. Returns `Ok(false)` once the trace is exhausted.
+/// The checks every robust cell passes before its first step — a
+/// valid trace and config, and an initial measurement phase that fits
+/// the trace (later phases that run off the end simply end the run in
+/// whatever state it was in) — and the cell's geometry and fresh
+/// snapshot.
+pub(crate) fn start_cell(
+    capture: &FaultyCapture,
+    config: &RobustConfig,
+) -> Result<(CellGeometry, RobustSnapshot), BluError> {
+    capture.trace.validate().map_err(BluError::InvalidTrace)?;
+    config.validate()?;
+    let geom = CellGeometry::derive(&capture.trace, &config.blu.emulation);
+    let plan = measurement_schedule(geom.n, geom.k_max, config.blu.t_samples)?;
+    if plan.t_max() > geom.trace_len {
+        return Err(BluError::TraceTooShort {
+            what: "robust initial measurement phase",
+            needed: plan.t_max(),
+            available: geom.trace_len,
+        });
+    }
+    let snap = RobustSnapshot::fresh(
+        geom.n,
+        geom.trace_len,
+        config.seed,
+        config.drift_alpha,
+        config.breaker,
+    );
+    Ok((geom, snap))
+}
+
+/// Guard a restored snapshot: it must have been taken against a
+/// capture of this geometry and under this seed.
+pub(crate) fn check_snapshot(
+    snap: &RobustSnapshot,
+    geom: &CellGeometry,
+    seed: u64,
+) -> Result<(), BluError> {
+    if snap.n_clients != geom.n as u64 || snap.trace_len != geom.trace_len {
+        return Err(BluError::Checkpoint(format!(
+            "snapshot was taken against a different capture \
+             ({} clients / {} sub-frames, run has {} / {})",
+            snap.n_clients, snap.trace_len, geom.n, geom.trace_len
+        )));
+    }
+    if snap.config_seed != seed {
+        return Err(BluError::Checkpoint(format!(
+            "snapshot seed {:#x} does not match configured seed {:#x}",
+            snap.config_seed, seed
+        )));
+    }
+    Ok(())
+}
+
+/// One state-machine step of the robust loop over caller-held
+/// storage: every driver of a cell (the unsupervised loop below and
+/// the supervised cell of the batch fleet and the daemon) steps
+/// through it. Returns `Ok(false)` once the trace is exhausted.
 pub(crate) fn step_cell_with(
     capture: &FaultyCapture,
     config: &RobustConfig,
@@ -760,64 +685,50 @@ pub fn run_blu_robust(
     capture: &FaultyCapture,
     config: &RobustConfig,
 ) -> Result<RobustRunReport, BluError> {
-    run_blu_robust_cell(capture, config, 0)
+    run_blu_robust_cell_in(capture, config, 0, &mut EngineArena::new())
 }
 
-/// [`run_blu_robust`] with an explicit cell index, which names the
-/// checkpoint file (`cell-<index>.json`) when a
-/// [`CheckpointPolicy`] is configured. Fleet entry points call this
-/// with each capture's position.
-pub fn run_blu_robust_cell(
-    capture: &FaultyCapture,
-    config: &RobustConfig,
-    cell: usize,
-) -> Result<RobustRunReport, BluError> {
-    run_blu_robust_cell_in(capture, config, cell, &mut EngineArena::new())
-}
-
-/// [`run_blu_robust_cell`] with caller-provided recycled engine
-/// buffers: the driver runs its transmit segments out of `arena` and
-/// hands the buffers back on completion, so a fleet shard's cells
-/// share one allocation pool and steady-state segments allocate
-/// nothing per sub-frame. On an error path the arena may come back
-/// empty (capacities lost, correctness unaffected).
+/// [`run_blu_robust`] as cell `cell` of a fleet, over caller-provided
+/// recycled engine buffers. The index names the checkpoint file
+/// (`cell-<index>.json`) when a [`CheckpointPolicy`] is configured;
+/// the loop runs its transmit segments out of `arena`, so a fleet
+/// shard's cells share one allocation pool and steady-state segments
+/// allocate nothing per sub-frame.
 pub fn run_blu_robust_cell_in(
     capture: &FaultyCapture,
     config: &RobustConfig,
     cell: usize,
     arena: &mut EngineArena,
 ) -> Result<RobustRunReport, BluError> {
-    let ckpt_path = config
+    let (geom, mut snap) = start_cell(capture, config)?;
+    let ckpt = config
         .checkpoint
         .as_ref()
-        .map(|p| p.dir.join(format!("cell-{cell}.json")));
-    let mut driver = match (&config.checkpoint, &ckpt_path) {
-        (Some(policy), Some(path)) if policy.resume && path.exists() => {
-            let snap = load_robust_checkpoint(path)?;
-            RobustDriver::resume(capture, config, snap)?
+        .map(|p| (p, p.dir.join(format!("cell-{cell}.json"))));
+    if let Some((policy, path)) = &ckpt {
+        if policy.resume && path.exists() {
+            snap = load_robust_checkpoint(path)?;
+            check_snapshot(&snap, &geom, config.seed)?;
         }
-        _ => RobustDriver::new(capture, config)?,
-    };
-    std::mem::swap(&mut driver.arena, arena);
-    let mut last_saved = driver.snap.cursor;
+    }
+    let mut last_saved = snap.cursor;
     loop {
-        let more = driver.step()?;
-        if let (Some(policy), Some(path)) = (&config.checkpoint, &ckpt_path) {
+        let more = step_cell_with(capture, config, &geom, &mut snap, arena, &mut NullObserver)?;
+        if let Some((policy, path)) = &ckpt {
             let interval_due = policy.every_subframes > 0
-                && driver.snap.cursor.saturating_sub(last_saved) >= policy.every_subframes;
+                && snap.cursor.saturating_sub(last_saved) >= policy.every_subframes;
             // Clean shutdown always persists, so a later `--resume`
             // returns the completed run instead of recomputing it.
             if interval_due || !more {
-                save_robust_checkpoint(path, &driver.snap)?;
-                last_saved = driver.snap.cursor;
+                save_robust_checkpoint(path, &snap)?;
+                last_saved = snap.cursor;
             }
         }
         if !more {
             break;
         }
     }
-    std::mem::swap(&mut driver.arena, arena);
-    Ok(driver.into_report())
+    Ok(RobustRunReport::from_snapshot(snap))
 }
 
 /// Run the robust loop over a fleet of captures (one per cell) in
@@ -827,7 +738,7 @@ pub fn run_blu_robust_cell_in(
 /// the shared config, and the fleet engine joins shards in spawn
 /// order, so the reports come back **in input order** and — apart
 /// from the wall-clock [`RobustRunReport::inference_micros`] field —
-/// identical to [`run_robust_fleet_sequential`].
+/// identical to running the cells one after another.
 ///
 /// **Isolation contract:** any panic inside a cell's run is contained
 /// inside that cell's closure (the fleet engine would otherwise
@@ -847,35 +758,21 @@ pub fn run_robust_fleet(
     .collect()
 }
 
-/// Sequential reference for [`run_robust_fleet`] — kept alive for
-/// differential testing and single-thread profiling.
-pub fn run_robust_fleet_sequential(
-    captures: &[FaultyCapture],
-    config: &RobustConfig,
-) -> Vec<Result<RobustRunReport, BluError>> {
-    captures
-        .iter()
-        .enumerate()
-        .map(|(cell, cap)| {
-            catch_unwind(AssertUnwindSafe(|| run_blu_robust_cell(cap, config, cell)))
-                .unwrap_or_else(|p| Err(BluError::Panicked(panic_message(p.as_ref()))))
-        })
-        .collect()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::runtime::breaker::BreakerState;
     use crate::runtime::checkpoint::{RobustCheckpoint, CHECKPOINT_VERSION};
+    use crate::runtime::panic_message;
     use blu_phy::cell::CellConfig;
     use blu_sim::clientset::ClientSet;
     use blu_sim::faults::{FaultEvent, FaultKind, FaultScript};
     use blu_sim::time::Micros;
     use blu_traces::capture::CaptureConfig;
     use blu_traces::faults::capture_with_faults;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn capture(script: FaultScript, secs: u64, seed: u64) -> FaultyCapture {
+    pub(crate) fn capture(script: FaultScript, secs: u64, seed: u64) -> FaultyCapture {
         capture_with_faults(
             &CaptureConfig {
                 duration: Micros::from_secs(secs),
@@ -888,7 +785,7 @@ mod tests {
         .unwrap()
     }
 
-    fn quick_config() -> RobustConfig {
+    pub(crate) fn quick_config() -> RobustConfig {
         let mut cell = CellConfig::testbed_siso();
         cell.numerology.n_rbs = 10;
         let emu = crate::emulator::EmulationConfig::new(cell);
@@ -896,7 +793,7 @@ mod tests {
     }
 
     /// Reports compared field by field, excluding wall-clock timing.
-    fn assert_reports_identical(a: &RobustRunReport, b: &RobustRunReport) {
+    pub(crate) fn assert_reports_identical(a: &RobustRunReport, b: &RobustRunReport) {
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.transitions, b.transitions);
         assert_eq!(a.verdicts, b.verdicts);
@@ -1039,6 +936,53 @@ mod tests {
         let report = run_blu_robust(&cap, &quick_config()).unwrap();
         assert!(report.effective_throughput_mbps() <= report.metrics.throughput_mbps());
         assert!(report.effective_throughput_mbps() > 0.0);
+    }
+
+    /// Step a cell `steps` arms (to the end with `usize::MAX`);
+    /// `false` once the trace is exhausted.
+    pub(crate) fn run_steps(
+        cap: &FaultyCapture,
+        cfg: &RobustConfig,
+        snap: &mut RobustSnapshot,
+        steps: usize,
+    ) -> bool {
+        let geom = CellGeometry::derive(&cap.trace, &cfg.blu.emulation);
+        let mut arena = EngineArena::new();
+        (0..steps)
+            .all(|_| step_cell_with(cap, cfg, &geom, snap, &mut arena, &mut NullObserver).unwrap())
+    }
+
+    /// Resume the checkpoint `dir/cell-0.json` and run to the end of
+    /// the trace.
+    fn resume_from(
+        cap: &FaultyCapture,
+        cfg: &RobustConfig,
+        dir: &std::path::Path,
+    ) -> RobustRunReport {
+        let mut cfg = cfg.clone();
+        cfg.checkpoint = Some(CheckpointPolicy {
+            dir: dir.to_path_buf(),
+            every_subframes: 0,
+            resume: true,
+        });
+        run_blu_robust(cap, &cfg).unwrap()
+    }
+
+    /// Sequential reference for [`run_robust_fleet`].
+    fn run_robust_fleet_sequential(
+        captures: &[FaultyCapture],
+        config: &RobustConfig,
+    ) -> Vec<Result<RobustRunReport, BluError>> {
+        captures
+            .iter()
+            .enumerate()
+            .map(|(cell, cap)| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_blu_robust_cell_in(cap, config, cell, &mut EngineArena::new())
+                }))
+                .unwrap_or_else(|p| Err(BluError::Panicked(panic_message(p.as_ref()))))
+            })
+            .collect()
     }
 
     #[test]
@@ -1252,25 +1196,17 @@ mod tests {
         let cfg = quick_config();
 
         // Uninterrupted reference run.
-        let mut full = RobustDriver::new(&cap, &cfg).unwrap();
-        while full.step().unwrap() {}
-        let full_report = full.into_report();
+        let full_report = run_blu_robust(&cap, &cfg).unwrap();
 
-        // "Crash" after a few steps: snapshot, drop the driver,
-        // restore from the serialized bytes, continue.
-        let mut first = RobustDriver::new(&cap, &cfg).unwrap();
-        for _ in 0..3 {
-            assert!(first.step().unwrap());
-        }
+        // "Crash" after a few steps: snapshot, drop the cell, restore
+        // from the serialized bytes, continue.
+        let (_, mut first) = start_cell(&cap, &cfg).unwrap();
+        assert!(run_steps(&cap, &cfg, &mut first, 3));
         let dir = std::env::temp_dir().join(format!("blu-ckpt-resume-{}", std::process::id()));
         let path = dir.join("cell-0.json");
-        save_robust_checkpoint(&path, &first.snap).unwrap();
+        save_robust_checkpoint(&path, &first).unwrap();
         drop(first);
-
-        let snap = load_robust_checkpoint(&path).unwrap();
-        let mut resumed = RobustDriver::resume(&cap, &cfg, snap).unwrap();
-        while resumed.step().unwrap() {}
-        let resumed_report = resumed.into_report();
+        let resumed_report = resume_from(&cap, &cfg, &dir);
 
         assert_reports_identical(&full_report, &resumed_report);
         std::fs::remove_dir_all(&dir).ok();
@@ -1285,8 +1221,8 @@ mod tests {
     #[test]
     fn kill_and_resume_matches_pre_refactor_golden() {
         /// Order-sensitive bit-pattern fold (duplicated from the
-        /// engine differential test, which cannot reach the private
-        /// driver).
+        /// engine differential test, which cannot reach the
+        /// crate-private step function).
         fn fold_bits(xs: &[f64]) -> u64 {
             xs.iter().fold(0x9E37_79B9_7F4A_7C15u64, |h, x| {
                 h.rotate_left(7) ^ x.to_bits()
@@ -1351,18 +1287,13 @@ mod tests {
         let cfg = RobustConfig::new(BluConfig::new(emu));
 
         // Kill after five steps, resume through serialized bytes.
-        let mut first = RobustDriver::new(&cap, &cfg).unwrap();
-        for _ in 0..5 {
-            assert!(first.step().unwrap());
-        }
+        let (_, mut first) = start_cell(&cap, &cfg).unwrap();
+        assert!(run_steps(&cap, &cfg, &mut first, 5));
         let dir = std::env::temp_dir().join(format!("blu-ckpt-golden-{}", std::process::id()));
         let path = dir.join("cell-0.json");
-        save_robust_checkpoint(&path, &first.snap).unwrap();
+        save_robust_checkpoint(&path, &first).unwrap();
         drop(first);
-        let snap = load_robust_checkpoint(&path).unwrap();
-        let mut resumed = RobustDriver::resume(&cap, &cfg, snap).unwrap();
-        while resumed.step().unwrap() {}
-        let report = resumed.into_report();
+        let report = resume_from(&cap, &cfg, &dir);
         std::fs::remove_dir_all(&dir).ok();
 
         let golden_path = concat!(
@@ -1409,17 +1340,17 @@ mod tests {
         let cap = capture(FaultScript::none(), 60, 52);
         let other = capture(FaultScript::none(), 90, 53);
         let cfg = quick_config();
-        let driver = RobustDriver::new(&cap, &cfg).unwrap();
-        let snap = driver.snap.clone();
+        let (geom, snap) = start_cell(&cap, &cfg).unwrap();
+        let (other_geom, _) = start_cell(&other, &cfg).unwrap();
 
-        match RobustDriver::resume(&other, &cfg, snap.clone()) {
+        match check_snapshot(&snap, &other_geom, cfg.seed) {
             Err(BluError::Checkpoint(msg)) => assert!(msg.contains("different capture")),
             Err(e) => panic!("expected Checkpoint error, got {e:?}"),
             Ok(_) => panic!("resume against the wrong capture must fail"),
         }
         let mut reseeded = quick_config();
         reseeded.seed ^= 1;
-        match RobustDriver::resume(&cap, &reseeded, snap) {
+        match check_snapshot(&snap, &geom, reseeded.seed) {
             Err(BluError::Checkpoint(msg)) => assert!(msg.contains("seed")),
             Err(e) => panic!("expected Checkpoint error, got {e:?}"),
             Ok(_) => panic!("resume with a reseeded config must fail"),
@@ -1495,28 +1426,21 @@ mod tests {
         let mut cfg = quick_config();
         cfg.streaming = Some(StreamingConfig::new(1_000));
 
-        let mut full = RobustDriver::new(&cap, &cfg).unwrap();
-        while full.step().unwrap() {}
-        let full_report = full.into_report();
+        let full_report = run_blu_robust(&cap, &cfg).unwrap();
 
         // Kill mid-run, persist (the stream state — ring included —
         // rides the checkpoint), resume, and finish identically.
-        let mut first = RobustDriver::new(&cap, &cfg).unwrap();
-        for _ in 0..6 {
-            assert!(first.step().unwrap());
-        }
+        let (_, mut first) = start_cell(&cap, &cfg).unwrap();
+        assert!(run_steps(&cap, &cfg, &mut first, 6));
         assert!(
-            first.snap.stream.is_some(),
+            first.stream.is_some(),
             "streaming run must materialize stream state"
         );
         let dir = std::env::temp_dir().join(format!("blu-ckpt-stream-{}", std::process::id()));
         let path = dir.join("cell-0.json");
-        save_robust_checkpoint(&path, &first.snap).unwrap();
+        save_robust_checkpoint(&path, &first).unwrap();
         drop(first);
-        let snap = load_robust_checkpoint(&path).unwrap();
-        let mut resumed = RobustDriver::resume(&cap, &cfg, snap).unwrap();
-        while resumed.step().unwrap() {}
-        let resumed_report = resumed.into_report();
+        let resumed_report = resume_from(&cap, &cfg, &dir);
         std::fs::remove_dir_all(&dir).ok();
 
         assert_reports_identical(&full_report, &resumed_report);
@@ -1674,7 +1598,7 @@ mod tests {
     fn fresh_snapshot() -> RobustSnapshot {
         let cap = capture(FaultScript::none(), 60, 60);
         let cfg = quick_config();
-        RobustDriver::new(&cap, &cfg).unwrap().snap
+        start_cell(&cap, &cfg).unwrap().1
     }
 
     #[test]

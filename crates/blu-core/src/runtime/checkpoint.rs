@@ -49,37 +49,41 @@ pub struct RobustCheckpoint {
     pub snapshot: RobustSnapshot,
 }
 
-fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluError {
+/// A checkpoint-file failure naming the file: `"<what> <path>: <e>"`.
+pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluError {
     BluError::Checkpoint(format!("{what} {}: {e}", path.display()))
 }
 
 /// Atomically write `snapshot` (wrapped in the current format
-/// version) to `path`: serialize, write to a `.tmp` sibling, fsync,
-/// rename into place, then fsync the parent directory so the rename
-/// itself is durable (Unix only; other platforms have no portable
-/// directory-sync primitive).
+/// version) to `path` ([`write_json_atomic`]), then fsync the parent
+/// directory so the rename itself is durable (Unix only; other
+/// platforms have no portable directory-sync primitive).
 pub fn save_robust_checkpoint(path: &Path, snapshot: &RobustSnapshot) -> Result<(), BluError> {
     let doc = RobustCheckpoint {
         version: CHECKPOINT_VERSION,
         snapshot: snapshot.clone(),
     };
-    let json = serde_json::to_string_pretty(&doc).map_err(|e| io_err("serializing", path, e))?;
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir).map_err(|e| io_err("creating directory for", path, e))?;
         }
     }
+    write_json_atomic(path, &doc)?;
+    sync_parent_dir(path)
+}
+
+/// Write `value` as pretty JSON to `path` atomically: serialize,
+/// write to a `.tmp` sibling, fsync, rename into place. Supervisor
+/// sidecars are written this way too.
+pub(crate) fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), BluError> {
+    use std::io::Write;
+    let json = serde_json::to_string_pretty(value).map_err(|e| io_err("serializing", path, e))?;
     let tmp = path.with_extension("tmp");
-    {
-        use std::io::Write;
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("creating", &tmp, e))?;
-        f.write_all(json.as_bytes())
-            .map_err(|e| io_err("writing", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("syncing", &tmp, e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err("renaming into place", path, e))?;
-    sync_parent_dir(path)?;
-    Ok(())
+    let mut f = fs::File::create(&tmp).map_err(|e| io_err("creating", &tmp, e))?;
+    f.write_all(json.as_bytes())
+        .map_err(|e| io_err("writing", &tmp, e))?;
+    f.sync_all().map_err(|e| io_err("syncing", &tmp, e))?;
+    fs::rename(&tmp, path).map_err(|e| io_err("renaming into place", path, e))
 }
 
 /// Fsync the directory containing `path` so the rename that installed

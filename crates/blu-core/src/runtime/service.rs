@@ -19,17 +19,16 @@
 //! * **Backpressure** — control commands land in a *bounded* queue;
 //!   when the engine falls behind, clients get `Busy` instead of the
 //!   queue growing without bound. Inference overload sheds
-//!   lowest-priority cells to PF fallback between watermarks, exactly
-//!   like the batch supervisor's ledger, and re-admits them as
-//!   pressure drops.
-//! * **Supervision** — each resident cell runs the PR 6 health
-//!   machine: contained panics, stalls and step errors restart it
-//!   through the disk → memory → fresh ladder under the same
-//!   deterministic capped backoff; exhausted budgets quarantine to
-//!   static PF.
+//!   lowest-priority cells to PF fallback between watermarks and
+//!   re-admits them as pressure drops.
+//! * **Supervision** — each resident cell is the batch fleet's
+//!   supervised cell, stepped by the same fleet round: contained
+//!   panics, stalls and step errors restart it through the disk →
+//!   memory → fresh ladder under a deterministic capped backoff;
+//!   exhausted budgets quarantine to static PF.
 //! * **Crash safety** — cells persist grid-aligned checkpoints plus a
-//!   `cell-<id>.serve.json` sidecar carrying the cell's [`CellSpec`]
-//!   and supervisor state. Because a spec regenerates its capture
+//!   `cell-<id>.serve.json` sidecar: the cell's [`CellSpec`] and its
+//!   supervision state. Because a spec regenerates its capture
 //!   deterministically, a daemon started with `resume` rebuilds the
 //!   whole fleet from the checkpoint directory and replays to
 //!   bit-identical state — `kill -9` included.
@@ -44,17 +43,15 @@
 //! per-cell step sequences. That is the property the kill/resume
 //! tests and the CI smoke job assert.
 
-use crate::engine::context::CellGeometry;
-use crate::engine::{EngineArena, FleetEngine, HeartbeatCounter, Untimed};
+use crate::engine::Untimed;
 use crate::error::BluError;
-use crate::robust::{
-    step_cell_shed, step_cell_with, OrchestratorState, RobustConfig, RobustSnapshot,
-};
+use crate::robust::{RobustConfig, RobustSnapshot};
 use crate::runtime::breaker::BreakerState;
-use crate::runtime::checkpoint::{load_robust_checkpoint, save_robust_checkpoint};
+use crate::runtime::checkpoint::io_err;
 use crate::runtime::panic_message;
 use crate::runtime::supervisor::{
-    CellHealth, CellSupervisor, RestartBackoff, RestartDecision, SupervisorConfig,
+    read_sidecar, CellFiles, CellHealth, CellSidecar, FleetMember, NullHook, SupervisedCell,
+    SupervisedFleet, SupervisorConfig,
 };
 use crate::runtime::wire::{
     decode_request, encode_response, read_frame, write_frame, CellSpec, CellStatus, Request,
@@ -66,20 +63,16 @@ use blu_sim::time::Micros;
 use blu_traces::capture::CaptureConfig;
 use blu_traces::faults::{capture_with_faults, FaultyCapture};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fs;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Serve-sidecar format version written and required by this build.
-pub const SERVE_SIDECAR_VERSION: u32 = 1;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -108,18 +101,13 @@ pub struct ServiceConfig {
     /// advances only on `Step` commands — the mode the deterministic
     /// tests drive).
     pub cadence_ms: u64,
-    /// Shed lowest-priority cells while fleet inference pressure
-    /// exceeds this ([`f64::INFINITY`] disables shedding).
-    pub high_watermark: f64,
-    /// Re-admit one shed cell per round once pressure is at or below
-    /// this.
-    pub low_watermark: f64,
     /// The robust loop configuration every resident cell runs under
     /// (its `checkpoint` field is ignored — the daemon owns
     /// persistence).
     pub robust: RobustConfig,
-    /// Per-cell supervision (its `shedding` and `max_rounds` fields
-    /// are ignored — the daemon owns both decisions).
+    /// Per-cell supervision and fleet shedding. Shedding priorities
+    /// come from each cell's spec, so `shedding.priorities` must be
+    /// empty; `max_rounds` is ignored (the daemon runs until stopped).
     pub supervisor: SupervisorConfig,
 }
 
@@ -137,8 +125,6 @@ impl ServiceConfig {
             max_frame: crate::runtime::wire::DEFAULT_MAX_FRAME,
             read_timeout_ms: 5_000,
             cadence_ms: 0,
-            high_watermark: f64::INFINITY,
-            low_watermark: f64::INFINITY,
             robust,
             supervisor: SupervisorConfig::default(),
         }
@@ -148,7 +134,7 @@ impl ServiceConfig {
     /// otherwise discover at 3am.
     pub fn validate(&self) -> Result<(), BluError> {
         self.robust.validate()?;
-        self.supervisor.backoff.validate()?;
+        self.supervisor.validate(0)?;
         if self.max_cells == 0 {
             return Err(BluError::InvalidConfig(
                 "serve max_cells must be > 0".into(),
@@ -169,16 +155,6 @@ impl ServiceConfig {
                 "serve read_timeout_ms must be > 0".into(),
             ));
         }
-        if self.high_watermark.is_nan()
-            || self.low_watermark.is_nan()
-            || self.high_watermark <= 0.0
-            || self.low_watermark < 0.0
-            || self.low_watermark > self.high_watermark
-        {
-            return Err(BluError::InvalidConfig(
-                "serve watermarks must satisfy 0 <= low <= high, high > 0".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -187,10 +163,12 @@ impl ServiceConfig {
 /// (and the same capture shape) as the chaos harness, so a persisted
 /// spec is a complete resume record.
 pub fn capture_for_spec(spec: &CellSpec) -> Result<FaultyCapture, BluError> {
-    spec.validate()?;
+    // A duration that overflows microseconds reads as an overflow
+    // before the spec's own bounds are checked.
     let duration = Micros::checked_from_secs(spec.seconds).ok_or(BluError::Overflow {
         what: "serve cell duration",
     })?;
+    spec.validate()?;
     let cfg = CaptureConfig {
         duration,
         q_range: (0.25, 0.55),
@@ -209,23 +187,20 @@ pub fn capture_for_spec(spec: &CellSpec) -> Result<FaultyCapture, BluError> {
         // The churn window opens after the first third of the trace —
         // past the initial measurement phase — and runs to the end.
         // Everything derives from the spec, so a persisted spec still
-        // regenerates the identical churned capture on resume.
-        let total = spec.seconds.checked_mul(1_000).ok_or(BluError::Overflow {
-            what: "serve churn window",
-        })?;
+        // regenerates the identical churned capture on resume. The
+        // validated duration (1..=MAX_CELL_SECONDS) keeps the window
+        // non-empty and its arithmetic in range.
+        let total = spec.seconds * 1_000;
         let start = total / 3;
-        let duration = total - start;
-        if duration > 0 {
-            let churn_cfg = blu_sim::churn::ChurnConfig::with_total_rate(
-                cfg.n_ues,
-                duration,
-                spec.churn_rate_hz(),
-            );
-            let mut rng = DetRng::seed_from_u64(spec.seed).derive("serve-churn");
-            let churn = blu_sim::churn::generate_churn(&churn_cfg, cfg.n_hts, rng.next_u64())
-                .map_err(BluError::from)?;
-            events.extend(crate::robust::compile_churn_script(&churn, start)?.events);
-        }
+        let churn_cfg = blu_sim::churn::ChurnConfig::with_total_rate(
+            cfg.n_ues,
+            total - start,
+            spec.churn_rate_hz(),
+        );
+        let mut rng = DetRng::seed_from_u64(spec.seed).derive("serve-churn");
+        let churn = blu_sim::churn::generate_churn(&churn_cfg, cfg.n_hts, rng.next_u64())
+            .map_err(BluError::from)?;
+        events.extend(crate::robust::compile_churn_script(&churn, start)?.events);
     }
     capture_with_faults(&cfg, &FaultScript::new(events), spec.seed).map_err(BluError::from)
 }
@@ -272,425 +247,115 @@ impl std::io::Write for Fnv1a64 {
 // Resident cells
 // ---------------------------------------------------------------------------
 
-/// Serve sidecar persisted next to each cell checkpoint: the spec
-/// (capture regeneration) plus supervisor/backoff/shed state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The daemon's sidecar (`cell-<id>.serve.json`): a cell's
+/// [`CellSidecar`] plus the id and spec that regenerate its capture.
+/// Written at admission, so the roster survives a kill that beats the
+/// cell's first grid checkpoint, and with every checkpoint.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ServeSidecar {
-    version: u32,
     id: u64,
     spec: CellSpec,
-    health: CellHealth,
-    restarts_used: u32,
-    silent_steps: u32,
-    backoff_attempts: u32,
-    backoff_rounds_left: u64,
-    shed: bool,
-    shed_rounds: u64,
-    finished: bool,
-    last_error: Option<String>,
+    cell: CellSidecar,
 }
 
-/// Result of one cell's parallel step, settled sequentially.
-enum StepOutcome {
-    Idle,
-    Progress {
-        more: bool,
-        heartbeats: u64,
-        hard_stalled: bool,
-    },
-    Panicked(String),
-    Failed(String),
+impl ServeSidecar {
+    /// Wrap cell `id`'s supervision state with its spec.
+    fn framing(id: u64, spec: &CellSpec) -> impl Fn(CellSidecar) -> ServeSidecar + '_ {
+        move |cell| ServeSidecar {
+            id,
+            spec: spec.clone(),
+            cell,
+        }
+    }
+
+    /// Decode and check a serve sidecar: the wrapped cell state's
+    /// version and bounds, and the spec's.
+    fn decode(text: &str, sup: &SupervisorConfig) -> Result<Self, String> {
+        let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let cell = doc.as_map().and_then(|m| serde::field(m, "cell"));
+        CellSidecar::check_version(cell.unwrap_or(&Value::Null))?;
+        let side: ServeSidecar = serde_json::from_value(&doc).map_err(|e| e.to_string())?;
+        side.cell.check_bounds(sup)?;
+        side.spec.validate().map_err(|e| e.to_string())?;
+        Ok(side)
+    }
 }
 
-/// One resident cell. Unlike the batch supervisor's borrowing cells,
-/// a `ServeCell` *owns* its capture — the daemon adds and removes
-/// cells at runtime — and steps through the same free functions
-/// ([`step_cell_with`]/[`step_cell_shed`]) as the batch path, so both
-/// evolve identically.
+/// One resident cell: its id and spec around the supervised cell that
+/// owns its capture and config.
 struct ServeCell {
     id: u64,
     spec: CellSpec,
-    /// Effective robust config for this cell: the daemon-wide config
-    /// with the spec's streaming window layered on, so phased and
-    /// streaming cells coexist in one fleet.
-    robust: RobustConfig,
-    capture: FaultyCapture,
-    geom: CellGeometry,
-    snap: RobustSnapshot,
-    arena: EngineArena,
-    sup: CellSupervisor,
-    backoff: RestartBackoff,
-    backoff_rounds_left: u64,
-    shed: bool,
-    shed_rounds: u64,
-    last_good: Option<RobustSnapshot>,
-    last_error: Option<String>,
-    outcome: StepOutcome,
-    finished: bool,
-    final_saved: bool,
-    last_saved: u64,
-    ckpt_path: PathBuf,
-    sidecar_path: PathBuf,
+    cell: SupervisedCell<'static>,
 }
 
 impl ServeCell {
-    fn paths(dir: &std::path::Path, id: u64) -> (PathBuf, PathBuf) {
-        (
-            dir.join(format!("cell-{id}.json")),
-            dir.join(format!("cell-{id}.serve.json")),
-        )
-    }
-
-    fn backoff_rng(config: &ServiceConfig, id: u64) -> DetRng {
-        DetRng::seed_from_u64(config.robust.seed).derive_indexed("serve-restart-backoff", id)
-    }
-
-    /// Admit a fresh cell.
+    /// Admit a fresh cell. Its config is the daemon-wide config with
+    /// the spec's streaming window layered on, so phased and streaming
+    /// cells coexist in one fleet.
     fn create(id: u64, spec: CellSpec, config: &ServiceConfig) -> Result<Self, BluError> {
         let capture = capture_for_spec(&spec)?;
         let mut robust = config.robust.clone();
         if spec.stream_window > 0 {
-            let streaming = crate::robust::StreamingConfig::new(spec.stream_window as usize);
-            streaming.validate()?;
-            robust.streaming = Some(streaming);
+            robust.streaming = Some(crate::robust::StreamingConfig::new(
+                spec.stream_window as usize,
+            ));
         }
-        let geom = CellGeometry::derive(&capture.trace, &config.robust.blu.emulation);
-        let snap = RobustSnapshot::fresh(
-            geom.n,
-            geom.trace_len,
-            config.robust.seed,
-            config.robust.drift_alpha,
-            config.robust.breaker,
-        );
-        let (ckpt_path, sidecar_path) = ServeCell::paths(&config.dir, id);
-        Ok(ServeCell {
-            id,
-            spec,
-            robust,
-            capture,
-            geom,
-            snap,
-            arena: EngineArena::new(),
-            sup: CellSupervisor::new(&config.supervisor),
-            backoff: RestartBackoff::new(
-                config.supervisor.backoff,
-                ServeCell::backoff_rng(config, id),
-            ),
-            backoff_rounds_left: 0,
-            shed: false,
-            shed_rounds: 0,
-            last_good: None,
-            last_error: None,
-            outcome: StepOutcome::Idle,
-            finished: false,
-            final_saved: false,
-            last_saved: 0,
-            ckpt_path,
-            sidecar_path,
-        })
-    }
-
-    /// Rebuild a cell from its persisted sidecar (+ checkpoint, when
-    /// one exists — a cell killed before its first grid crossing
-    /// resumes fresh, which *is* the uninterrupted behavior).
-    fn resume(side: ServeSidecar, config: &ServiceConfig) -> Result<Self, BluError> {
-        let mut cell = ServeCell::create(side.id, side.spec.clone(), config)?;
-        if cell.ckpt_path.exists() {
-            let snap = load_robust_checkpoint(&cell.ckpt_path)?;
-            cell.adopt(snap, config)?;
-            cell.last_saved = cell.snap.cursor;
-        }
-        cell.sup.restore_state(
-            side.health,
-            side.restarts_used,
-            side.silent_steps,
-            Vec::new(),
-        );
-        cell.backoff = RestartBackoff::replayed(
-            config.supervisor.backoff,
-            ServeCell::backoff_rng(config, side.id),
-            side.backoff_attempts,
-        );
-        cell.backoff_rounds_left = side.backoff_rounds_left;
-        cell.shed = side.shed;
-        cell.shed_rounds = side.shed_rounds;
-        cell.finished = side.finished || cell.snap.done;
-        cell.final_saved = cell.finished;
-        cell.last_error = side.last_error;
-        Ok(cell)
-    }
-
-    /// Install a restored snapshot, guarding against the wrong
-    /// capture or a reconfigured daemon (the same checks as
-    /// `RobustDriver::resume`).
-    fn adopt(&mut self, snap: RobustSnapshot, config: &ServiceConfig) -> Result<(), BluError> {
-        if snap.n_clients != self.geom.n as u64 || snap.trace_len != self.geom.trace_len {
-            return Err(BluError::Checkpoint(format!(
-                "cell {} snapshot was taken against a different capture \
-                 ({} clients / {} sub-frames, spec regenerates {} / {})",
-                self.id, snap.n_clients, snap.trace_len, self.geom.n, self.geom.trace_len
-            )));
-        }
-        if snap.config_seed != config.robust.seed {
-            return Err(BluError::Checkpoint(format!(
-                "cell {} snapshot seed {:#x} does not match configured seed {:#x}",
-                self.id, snap.config_seed, config.robust.seed
-            )));
-        }
-        self.snap = snap;
-        Ok(())
-    }
-
-    fn save_sidecar(&self) -> Result<(), BluError> {
-        let side = ServeSidecar {
-            version: SERVE_SIDECAR_VERSION,
-            id: self.id,
-            spec: self.spec.clone(),
-            health: self.sup.health(),
-            restarts_used: self.sup.restarts_used(),
-            silent_steps: self.sup.silent_steps(),
-            backoff_attempts: self.backoff.attempts(),
-            backoff_rounds_left: self.backoff_rounds_left,
-            shed: self.shed,
-            shed_rounds: self.shed_rounds,
-            finished: self.finished,
-            last_error: self.last_error.clone(),
+        let files = CellFiles {
+            checkpoint: config.dir.join(format!("cell-{id}.json")),
+            sidecar: config.dir.join(format!("cell-{id}.serve.json")),
+            every_subframes: config.every_subframes,
         };
-        let path = &self.sidecar_path;
-        let json = serde_json::to_string_pretty(&side)
-            .map_err(|e| BluError::Checkpoint(format!("serializing {}: {e}", path.display())))?;
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| BluError::Checkpoint(format!("creating {}: {e}", tmp.display())))?;
-            f.write_all(json.as_bytes())
-                .map_err(|e| BluError::Checkpoint(format!("writing {}: {e}", tmp.display())))?;
-            f.sync_all()
-                .map_err(|e| BluError::Checkpoint(format!("syncing {}: {e}", tmp.display())))?;
-        }
-        fs::rename(&tmp, path)
-            .map_err(|e| BluError::Checkpoint(format!("renaming {}: {e}", path.display())))?;
-        Ok(())
-    }
-
-    /// Grid-aligned persistence: identical semantics to the batch
-    /// supervisor, so the set of on-disk restore points is a pure
-    /// function of the cell's step sequence.
-    fn persist_with(&mut self, every_subframes: u64, force: bool) -> Result<(), BluError> {
-        if self.finished && self.final_saved {
-            return Ok(());
-        }
-        let interval_due = every_subframes > 0
-            && self.snap.cursor / every_subframes != self.last_saved / every_subframes;
-        if !(interval_due || self.finished || force) {
-            return Ok(());
-        }
-        save_robust_checkpoint(&self.ckpt_path, &self.snap)?;
-        self.last_saved = self.snap.cursor;
-        self.save_sidecar()?;
-        if self.finished {
-            self.final_saved = true;
-        }
-        Ok(())
-    }
-
-    /// Sequential pre-round bookkeeping: tick the backoff clock.
-    fn pre_round(&mut self) {
-        if self.finished || self.backoff_rounds_left == 0 {
-            return;
-        }
-        self.backoff_rounds_left -= 1;
-        if self.backoff_rounds_left == 0 {
-            self.sup.restart_complete(self.snap.cursor);
-        }
-    }
-
-    /// This cell's contribution to fleet inference pressure (the
-    /// batch supervisor's formula).
-    fn current_load(&self) -> f64 {
-        if self.finished
-            || self.shed
-            || self.backoff_rounds_left > 0
-            || self.sup.health() == CellHealth::Quarantined
-            || self.snap.done
-        {
-            return 0.0;
-        }
-        match self.snap.state {
-            OrchestratorState::Measuring
-            | OrchestratorState::Remeasuring
-            | OrchestratorState::Drifting => f64::from(
-                self.capture
-                    .script
-                    .runtime_state_at(self.snap.cursor)
-                    .stall_factor,
-            ),
-            _ => 0.0,
-        }
-    }
-
-    /// The parallel half of a round: step (or idle) and stash the
-    /// outcome. Every panic is caught inside the fleet closure.
-    fn parallel_step(&mut self, stall_factor_limit: u32) {
-        self.outcome = self.compute_step(stall_factor_limit);
-    }
-
-    fn compute_step(&mut self, stall_factor_limit: u32) -> StepOutcome {
-        if self.finished || self.backoff_rounds_left > 0 {
-            return StepOutcome::Idle;
-        }
-        if self.sup.health() == CellHealth::Quarantined || self.shed {
-            let robust = &self.robust;
-            let capture = &self.capture;
-            let snap = &mut self.snap;
-            let arena = &mut self.arena;
-            return match catch_unwind(AssertUnwindSafe(|| {
-                step_cell_shed(capture, robust, snap, arena)
-            })) {
-                Ok(Ok(more)) => StepOutcome::Progress {
-                    more,
-                    heartbeats: 1,
-                    hard_stalled: false,
-                },
-                Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
-                Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
-            };
-        }
-        let cursor = self.snap.cursor;
-        let measuring = matches!(
-            self.snap.state,
-            OrchestratorState::Measuring | OrchestratorState::Remeasuring
-        );
-        let hard_stalled = measuring
-            && self.capture.script.runtime_state_at(cursor).stall_factor >= stall_factor_limit;
-        // Pre-step state is the in-memory restore point: a failed
-        // attempt must be redone, never resumed past.
-        self.last_good = Some(self.snap.clone());
-        let robust = &self.robust;
-        let capture = &self.capture;
-        let geom = &self.geom;
-        let snap = &mut self.snap;
-        let arena = &mut self.arena;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut beats = HeartbeatCounter::default();
-            step_cell_with(capture, robust, geom, snap, arena, &mut beats)
-                .map(|more| (more, beats.beats()))
-        }));
-        match result {
-            Ok(Ok((more, heartbeats))) => StepOutcome::Progress {
-                more,
-                heartbeats,
-                hard_stalled,
-            },
-            Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
-            Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
-        }
-    }
-
-    /// The sequential half: drive the health machine from the stashed
-    /// outcome. Returns how many restarts this settle consumed.
-    fn settle(&mut self, config: &ServiceConfig) -> u64 {
-        match std::mem::replace(&mut self.outcome, StepOutcome::Idle) {
-            StepOutcome::Idle => 0,
-            StepOutcome::Progress {
-                more,
-                heartbeats,
-                hard_stalled,
-            } => {
-                if !more {
-                    self.finished = true;
-                    0
-                } else if self.sup.health() != CellHealth::Quarantined && !self.shed {
-                    let cursor = self.snap.cursor;
-                    let open = self.snap.breaker.state() == BreakerState::Open;
-                    self.sup.note_breaker(cursor, open);
-                    match self.sup.note_step(cursor, heartbeats, hard_stalled) {
-                        Some(kind) => self.fail(kind, config),
-                        None => 0,
-                    }
-                } else {
-                    0
-                }
-            }
-            StepOutcome::Panicked(msg) => {
-                self.last_error = Some(msg);
-                self.fail(crate::runtime::supervisor::FailureKind::Panic, config)
-            }
-            StepOutcome::Failed(msg) => {
-                self.last_error = Some(msg);
-                self.fail(crate::runtime::supervisor::FailureKind::Error, config)
-            }
-        }
-    }
-
-    fn fail(
-        &mut self,
-        kind: crate::runtime::supervisor::FailureKind,
-        config: &ServiceConfig,
-    ) -> u64 {
-        let was_quarantined = self.sup.health() == CellHealth::Quarantined;
-        let cursor = self.snap.cursor;
-        match self.sup.on_failure(cursor, kind) {
-            RestartDecision::Restart { .. } => {
-                self.restore(config);
-                self.backoff_rounds_left = self.backoff.next_wait_rounds();
-                1
-            }
-            RestartDecision::Quarantine => {
-                if was_quarantined {
-                    self.finished = true;
-                } else {
-                    self.restore(config);
-                }
-                0
-            }
-        }
-    }
-
-    /// Disk checkpoint → in-memory known-good → fresh. Never errors.
-    fn restore(&mut self, config: &ServiceConfig) {
-        if let Ok(snap) = load_robust_checkpoint(&self.ckpt_path) {
-            if self.adopt(snap, config).is_ok() {
-                return;
-            }
-        }
-        if let Some(good) = self.last_good.clone() {
-            self.snap = good;
-            return;
-        }
-        self.snap = RobustSnapshot::fresh(
-            self.geom.n,
-            self.geom.trace_len,
-            config.robust.seed,
-            config.robust.drift_alpha,
-            config.robust.breaker,
-        );
+        let cell = SupervisedCell::new(
+            Cow::Owned(capture),
+            Cow::Owned(robust),
+            &config.supervisor,
+            DetRng::seed_from_u64(config.robust.seed).derive_indexed("serve-restart-backoff", id),
+            spec.priority,
+            Some(files),
+        )?;
+        Ok(ServeCell { id, spec, cell })
     }
 
     fn status(&self) -> CellStatus {
+        let cell = &self.cell;
+        let stream = cell.snap.stream.as_ref();
         CellStatus {
             cell: self.id,
-            health: self.sup.health(),
-            state: self.snap.state,
-            cursor: self.snap.cursor,
-            trace_len: self.geom.trace_len,
-            done: self.snap.done,
-            restarts: self.sup.restarts_used(),
-            shed: self.shed,
-            shed_rounds: self.shed_rounds,
+            health: cell.sup.health(),
+            state: cell.snap.state,
+            cursor: cell.snap.cursor,
+            trace_len: cell.geom.trace_len,
+            done: cell.snap.done,
+            restarts: cell.sup.restarts_used(),
+            shed: cell.shed,
+            shed_rounds: cell.shed_rounds,
             priority: self.spec.priority,
-            digest: snapshot_digest(&self.snap),
-            window_occupancy: self
-                .snap
-                .stream
-                .as_ref()
-                .map_or(0, |s| s.window.occupancy() as u64),
-            window_capacity: self
-                .snap
-                .stream
-                .as_ref()
-                .map_or(0, |s| s.window.capacity() as u64),
+            digest: snapshot_digest(&cell.snap),
+            window_occupancy: stream.map_or(0, |s| s.window.occupancy() as u64),
+            window_capacity: stream.map_or(0, |s| s.window.capacity() as u64),
         }
+    }
+}
+
+impl FleetMember<'static> for ServeCell {
+    fn cell(&self) -> &SupervisedCell<'static> {
+        &self.cell
+    }
+
+    fn cell_mut(&mut self) -> &mut SupervisedCell<'static> {
+        &mut self.cell
+    }
+
+    /// A failed save is recorded on the cell and logged; the daemon
+    /// keeps serving.
+    fn persist(&mut self, force: bool) -> Result<bool, BluError> {
+        let frame = ServeSidecar::framing(self.id, &self.spec);
+        Ok(self.cell.persist_framed(force, frame).unwrap_or_else(|e| {
+            eprintln!("blu serve: cell {} checkpoint failed: {e}", self.id);
+            self.cell.last_error = Some(e.to_string());
+            false
+        }))
     }
 }
 
@@ -740,7 +405,7 @@ impl Reply {
 
 struct Engine {
     config: ServiceConfig,
-    cells: Vec<ServeCell>,
+    fleet: SupervisedFleet<ServeCell>,
     next_id: u64,
     draining: bool,
     counters: ServiceCounters,
@@ -752,147 +417,47 @@ impl Engine {
     /// Scan the checkpoint directory and resume every persisted cell,
     /// in id order.
     fn resume_fleet(config: &ServiceConfig) -> Result<Vec<ServeCell>, BluError> {
+        let scan_err = |e| io_err("scanning", &config.dir, e);
         let mut ids: Vec<u64> = Vec::new();
         if config.dir.exists() {
-            let entries = fs::read_dir(&config.dir).map_err(|e| {
-                BluError::Checkpoint(format!("scanning {}: {e}", config.dir.display()))
-            })?;
-            for entry in entries {
-                let entry = entry.map_err(|e| {
-                    BluError::Checkpoint(format!("scanning {}: {e}", config.dir.display()))
-                })?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some(id) = name
-                    .strip_prefix("cell-")
-                    .and_then(|s| s.strip_suffix(".serve.json"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    ids.push(id);
-                }
+            for entry in fs::read_dir(&config.dir).map_err(scan_err)? {
+                let name = entry.map_err(scan_err)?.file_name();
+                let id = name.to_str().and_then(|name| {
+                    let id = name.strip_prefix("cell-")?.strip_suffix(".serve.json")?;
+                    id.parse::<u64>().ok()
+                });
+                ids.extend(id);
             }
         }
+        // Cells resume in id order, the order they were admitted in,
+        // so shedding breaks ties exactly as before the kill.
         ids.sort_unstable();
-        let mut cells = Vec::with_capacity(ids.len());
-        for id in ids {
-            let path = config.dir.join(format!("cell-{id}.serve.json"));
-            let text = fs::read_to_string(&path)
-                .map_err(|e| BluError::Checkpoint(format!("reading {}: {e}", path.display())))?;
-            let side: ServeSidecar = serde_json::from_str(&text)
-                .map_err(|e| BluError::Checkpoint(format!("decoding {}: {e}", path.display())))?;
-            if side.version != SERVE_SIDECAR_VERSION {
-                return Err(BluError::Checkpoint(format!(
-                    "serve sidecar {} has version {}, this build requires {}",
-                    path.display(),
-                    side.version,
-                    SERVE_SIDECAR_VERSION
-                )));
-            }
-            cells.push(ServeCell::resume(side, config)?);
-        }
-        Ok(cells)
+        ids.into_iter()
+            .map(|id| {
+                let path = config.dir.join(format!("cell-{id}.serve.json"));
+                let side = read_sidecar(&path, |t| ServeSidecar::decode(t, &config.supervisor))?;
+                let mut cell = ServeCell::create(side.id, side.spec, config)?;
+                cell.cell.resume(Some(side.cell))?;
+                Ok(cell)
+            })
+            .collect()
     }
 
-    /// One fleet round: backoff ticks → watermark admission control →
-    /// parallel step across the fleet shards → sequential settle and
-    /// grid persistence, in cell order.
+    /// One fleet round ([`SupervisedFleet::round`]), folded into the
+    /// daemon's counters.
     fn step_round(&mut self) {
-        if self.cells.iter().all(|c| c.finished) {
+        if self.fleet.all_finished() {
             return;
         }
-        for cell in self.cells.iter_mut() {
-            cell.pre_round();
+        // `ServeCell::persist` records a failed save instead of
+        // returning it, so a round cannot fail.
+        if let Ok(tally) = self.fleet.round(&mut NullHook) {
+            self.counters.shed_events += tally.sheds;
+            self.counters.readmit_events += tally.readmits;
+            self.counters.shed_rounds_total += tally.shed_cells;
+            self.counters.restarts += tally.restarts;
         }
-        self.apply_watermarks();
-        for cell in self.cells.iter_mut() {
-            if cell.shed && !cell.finished {
-                cell.shed_rounds += 1;
-                self.counters.shed_rounds_total += 1;
-            }
-        }
-        let limit = self.config.supervisor.stall_factor_limit;
-        let refs: Vec<&mut ServeCell> = self.cells.iter_mut().collect();
-        FleetEngine::run(refs, || (), |_, cell| cell.parallel_step(limit));
-        let mut restarts = 0u64;
-        for cell in self.cells.iter_mut() {
-            restarts += cell.settle(&self.config);
-            if let Err(e) = cell.persist_with(self.config.every_subframes, false) {
-                cell.last_error = Some(e.to_string());
-                eprintln!("blu serve: cell {} checkpoint failed: {e}", cell.id);
-            }
-        }
-        self.counters.restarts += restarts;
         self.counters.rounds += 1;
-    }
-
-    /// Watermark backpressure: shed lowest-priority contributing
-    /// cells (highest id on ties) while pressure exceeds the high
-    /// watermark; re-admit one per round (highest priority, lowest id)
-    /// once at or below the low watermark. The ordering rules are the
-    /// batch supervisor's, keyed by spec priorities.
-    fn apply_watermarks(&mut self) {
-        if !self.config.high_watermark.is_finite() {
-            return;
-        }
-        let loads: Vec<f64> = self.cells.iter().map(ServeCell::current_load).collect();
-        let mut pressure: f64 = loads.iter().sum();
-        let mut newly_shed = vec![false; self.cells.len()];
-        while pressure > self.config.high_watermark {
-            let mut pick: Option<usize> = None;
-            for (i, cell) in self.cells.iter().enumerate() {
-                if cell.shed || loads[i] <= 0.0 {
-                    continue;
-                }
-                pick = Some(match pick {
-                    None => i,
-                    Some(p) => {
-                        let (pp, pi) = (self.cells[p].spec.priority, cell.spec.priority);
-                        if pi < pp || (pi == pp && cell.id > self.cells[p].id) {
-                            i
-                        } else {
-                            p
-                        }
-                    }
-                });
-            }
-            let Some(i) = pick else { break };
-            self.cells[i].shed = true;
-            newly_shed[i] = true;
-            pressure -= loads[i];
-            self.counters.shed_events += 1;
-        }
-        if pressure <= self.config.low_watermark {
-            let mut pick: Option<usize> = None;
-            for (i, cell) in self.cells.iter().enumerate() {
-                if !cell.shed || newly_shed[i] || cell.finished {
-                    continue;
-                }
-                pick = Some(match pick {
-                    None => i,
-                    Some(p) => {
-                        let (pp, pi) = (self.cells[p].spec.priority, cell.spec.priority);
-                        if pi > pp || (pi == pp && cell.id < self.cells[p].id) {
-                            i
-                        } else {
-                            p
-                        }
-                    }
-                });
-            }
-            if let Some(i) = pick {
-                self.cells[i].shed = false;
-                self.counters.readmit_events += 1;
-            }
-        }
-    }
-
-    fn persist_all(&mut self, force: bool) {
-        for cell in self.cells.iter_mut() {
-            if let Err(e) = cell.persist_with(self.config.every_subframes, force) {
-                cell.last_error = Some(e.to_string());
-                eprintln!("blu serve: cell {} checkpoint failed: {e}", cell.id);
-            }
-        }
     }
 
     fn folded_counters(&self) -> ServiceCounters {
@@ -901,9 +466,10 @@ impl Engine {
         c.malformed_frames = self.shared.malformed.load(Ordering::Relaxed);
         c.resumed_cells = self.shared.resumed.load(Ordering::Relaxed);
         c.quarantined = self
+            .fleet
             .cells
             .iter()
-            .filter(|c| c.sup.health() == CellHealth::Quarantined)
+            .filter(|c| c.cell.sup.health() == CellHealth::Quarantined)
             .count() as u64;
         c
     }
@@ -914,16 +480,15 @@ impl Engine {
             draining: self.draining,
             max_cells: self.config.max_cells as u64,
             counters: self.folded_counters(),
-            cells: self.cells.iter().map(ServeCell::status).collect(),
+            cells: self.fleet.cells.iter().map(ServeCell::status).collect(),
         }
     }
 
     fn metrics_text(&self) -> String {
         let c = self.folded_counters();
-        let breaker_open = self
-            .cells
-            .iter()
-            .filter(|cell| cell.snap.breaker.state() == BreakerState::Open)
+        let snaps = || self.fleet.cells.iter().map(|c| &c.cell.snap);
+        let breaker_open = snaps()
+            .filter(|snap| snap.breaker.state() == BreakerState::Open)
             .count();
         let mut out = String::new();
         let mut counter = |name: &str, value: u64| {
@@ -945,11 +510,7 @@ impl Engine {
             counter("blu_serve_fleet_cache_delayed_hits_total", s.delayed_hits);
             counter("blu_serve_fleet_cache_misses_total", s.misses);
         }
-        let streams = || {
-            self.cells
-                .iter()
-                .filter_map(|cell| cell.snap.stream.as_ref())
-        };
+        let streams = || snaps().filter_map(|snap| snap.stream.as_ref());
         counter(
             "blu_stream_refines_total",
             streams().map(|s| s.refines).sum(),
@@ -969,7 +530,7 @@ impl Engine {
         let mut gauge = |name: &str, value: u64| {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
         };
-        gauge("blu_serve_cells", self.cells.len() as u64);
+        gauge("blu_serve_cells", self.fleet.cells.len() as u64);
         gauge("blu_serve_quarantined_cells", c.quarantined);
         gauge("blu_serve_breaker_open_cells", breaker_open as u64);
         gauge("blu_serve_draining", u64::from(self.draining));
@@ -989,26 +550,7 @@ impl Engine {
     /// down after replying.
     fn handle(&mut self, req: Request) -> (Response, bool) {
         match req {
-            Request::Hello { version } => {
-                if version == WIRE_VERSION {
-                    (
-                        Response::Hello {
-                            version: WIRE_VERSION,
-                            resumed_cells: self.shared.resumed.load(Ordering::Relaxed),
-                        },
-                        false,
-                    )
-                } else {
-                    (
-                        Response::Error {
-                            message: format!(
-                                "unsupported protocol version {version}, daemon speaks {WIRE_VERSION}"
-                            ),
-                        },
-                        false,
-                    )
-                }
-            }
+            Request::Hello { version } => (hello(version, &self.shared), false),
             Request::AddCell { spec } => {
                 if self.draining {
                     self.counters.rejections += 1;
@@ -1019,13 +561,13 @@ impl Engine {
                         false,
                     );
                 }
-                if self.cells.len() >= self.config.max_cells {
+                if self.fleet.cells.len() >= self.config.max_cells {
                     self.counters.rejections += 1;
                     return (
                         Response::Rejected {
                             reason: format!(
                                 "admission budget exhausted: {} of {} cells resident",
-                                self.cells.len(),
+                                self.fleet.cells.len(),
                                 self.config.max_cells
                             ),
                         },
@@ -1038,12 +580,13 @@ impl Engine {
                         // The sidecar lands at admission time: the
                         // fleet roster must survive a kill -9 that
                         // beats the cell's first grid checkpoint.
-                        if let Err(e) = cell.save_sidecar() {
+                        let frame = ServeSidecar::framing(id, &cell.spec);
+                        if let Err(e) = cell.cell.save_sidecar(frame) {
                             eprintln!("blu serve: admission sidecar for cell {id} failed: {e}");
                         }
                         self.next_id += 1;
                         self.counters.admissions += 1;
-                        self.cells.push(cell);
+                        self.fleet.cells.push(cell);
                         (Response::Done { cell: Some(id) }, false)
                     }
                     Err(e) => (
@@ -1055,7 +598,7 @@ impl Engine {
                 }
             }
             Request::RemoveCell { cell } => {
-                let Some(pos) = self.cells.iter().position(|c| c.id == cell) else {
+                let Some(pos) = self.fleet.cells.iter().position(|c| c.id == cell) else {
                     return (
                         Response::Error {
                             message: format!("no resident cell with id {cell}"),
@@ -1063,10 +606,8 @@ impl Engine {
                         false,
                     );
                 };
-                let mut removed = self.cells.remove(pos);
-                if let Err(e) = removed.persist_with(self.config.every_subframes, true) {
-                    eprintln!("blu serve: final checkpoint of removed cell {cell} failed: {e}");
-                }
+                // `Vec::remove` keeps the others in id order.
+                let _ = self.fleet.cells.remove(pos).persist(true);
                 (Response::Done { cell: Some(cell) }, false)
             }
             Request::Step { rounds } => {
@@ -1074,7 +615,7 @@ impl Engine {
                     // A stop signal interrupts a long burst: the
                     // graceful path must not wait out a
                     // `step --rounds 100000`.
-                    if self.stop.load(Ordering::SeqCst) || self.cells.iter().all(|c| c.finished) {
+                    if self.stop.load(Ordering::SeqCst) || self.fleet.all_finished() {
                         break;
                     }
                     self.step_round();
@@ -1089,7 +630,7 @@ impl Engine {
                 false,
             ),
             Request::Snapshot => {
-                self.persist_all(true);
+                let _ = self.fleet.persist_all(true, &mut NullHook);
                 (Response::Done { cell: None }, false)
             }
             Request::Drain => {
@@ -1140,7 +681,7 @@ impl Engine {
             }
         }
         self.draining = true;
-        self.persist_all(true);
+        let _ = self.fleet.persist_all(true, &mut NullHook);
         self.stop.store(true, Ordering::SeqCst);
         Ok(())
     }
@@ -1180,18 +721,7 @@ fn handle_connection(
         let reply = match req {
             // Hello is answered by the handler itself: the handshake
             // must work even when the engine queue is saturated.
-            Request::Hello { version } => Reply::encode(&if version == WIRE_VERSION {
-                Response::Hello {
-                    version: WIRE_VERSION,
-                    resumed_cells: shared.resumed.load(Ordering::Relaxed),
-                }
-            } else {
-                Response::Error {
-                    message: format!(
-                        "unsupported protocol version {version}, daemon speaks {WIRE_VERSION}"
-                    ),
-                }
-            }),
+            Request::Hello { version } => Reply::encode(&hello(version, &shared)),
             other => {
                 let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
                 match tx.try_send(Envelope {
@@ -1215,6 +745,23 @@ fn handle_connection(
         };
         if write_frame(&mut stream, &reply.payload, max_frame).is_err() || reply.closing {
             return;
+        }
+    }
+}
+
+/// The handshake reply: the daemon's version and resumed-cell count,
+/// or a typed refusal of any other protocol version.
+fn hello(version: u32, shared: &Shared) -> Response {
+    if version == WIRE_VERSION {
+        Response::Hello {
+            version: WIRE_VERSION,
+            resumed_cells: shared.resumed.load(Ordering::Relaxed),
+        }
+    } else {
+        Response::Error {
+            message: format!(
+                "unsupported protocol version {version}, daemon speaks {WIRE_VERSION}"
+            ),
         }
     }
 }
@@ -1330,9 +877,10 @@ impl BluService {
         let max_frame = config.max_frame;
         let read_timeout = Duration::from_millis(config.read_timeout_ms);
 
+        let fleet = SupervisedFleet::new(cells, config.supervisor.shedding.clone(), false);
         let engine = Engine {
             config,
-            cells,
+            fleet,
             next_id,
             draining: false,
             counters,
@@ -1396,3 +944,5 @@ fn accept_loop(
 
 #[cfg(test)]
 mod emitter_differential;
+#[cfg(test)]
+mod sidecar_fuzz;

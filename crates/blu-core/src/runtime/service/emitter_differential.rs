@@ -10,7 +10,8 @@
 
 use super::*;
 use crate::engine::StreamState;
-use crate::robust::{RobustDriver, StreamingConfig};
+use crate::robust::tests::run_steps;
+use crate::robust::{start_cell, StreamingConfig};
 use crate::runtime::checkpoint::{RobustCheckpoint, CHECKPOINT_VERSION};
 use blu_sim::clientset::ClientSet;
 use proptest::prelude::*;
@@ -63,15 +64,11 @@ fn robust_config(spec: &CellSpec) -> RobustConfig {
 fn run_cell(spec: &CellSpec, steps: usize) -> RobustSnapshot {
     let capture = capture_for_spec(spec).unwrap();
     let config = robust_config(spec);
-    let mut driver = RobustDriver::new(&capture, &config).unwrap();
-    for _ in 0..steps {
-        if !driver.step().unwrap() {
-            break;
-        }
-    }
+    let (_, mut snap) = start_cell(&capture, &config).unwrap();
+    run_steps(&capture, &config, &mut snap, steps);
     // Nonzero timing, so the digest's zeroing is observable.
-    driver.snap.inference_micros = 987_654;
-    driver.snap
+    snap.inference_micros = 987_654;
+    snap
 }
 
 fn phased_and_streaming() -> [(&'static str, RobustSnapshot); 2] {
@@ -150,20 +147,10 @@ fn boundary_types_stream_the_oracles_bytes() {
     let mut spec = CellSpec::new(u64::MAX, 20);
     spec.stall_at = Some(1_500);
     spec.churn_millihz = 250;
-    let sidecar = ServeSidecar {
-        version: SERVE_SIDECAR_VERSION,
-        id: 3,
-        spec: spec.clone(),
-        health: CellHealth::Restarting,
-        restarts_used: 2,
-        silent_steps: 1,
-        backoff_attempts: 4,
-        backoff_rounds_left: 9,
-        shed: true,
-        shed_rounds: 11,
-        finished: false,
-        last_error: Some("stage \"infer\" panicked:\n\tindex 7 \\ 3 \u{1}é".into()),
-    };
+    // Every field set: a restart ledger, an error message with
+    // escapes, and a spec with a stall.
+    let sidecar = super::sidecar_fuzz::valid((u64::MAX, 3, 9), &[1_500, 77]);
+    assert_same_bytes("cell sidecar", &sidecar.cell);
     assert_same_bytes("serve sidecar", &sidecar);
 
     let requests = [

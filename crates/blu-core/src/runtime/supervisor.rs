@@ -1,12 +1,11 @@
 //! Fleet supervision: restart-from-checkpoint, quarantine, and load
 //! shedding over the sharded fleet engine.
 //!
-//! The resilience runtime gave every cell its own primitives —
-//! circuit breakers, versioned checkpoints, panic containment — and
-//! the staged engine gave every cell an observer seam. But nothing
-//! owned fleet-level health: a panicking or stalling cell simply
-//! returned [`BluError::Panicked`] to the caller, and overload had no
-//! graceful-degradation path. This module supplies that layer.
+//! One supervised cell serves both drivers of the fleet: the batch
+//! [`run_supervised_fleet`] (chaos storms, `blu robust`) and the
+//! `blu serve` daemon. Each steps the same `SupervisedCell`s through
+//! the same `SupervisedFleet` round, so a cell's evolution does not
+//! depend on which of them runs it.
 //!
 //! ## Per-cell health machine
 //!
@@ -34,8 +33,8 @@
 //! jittered number of rounds (the circuit breaker's escalation
 //! formula, re-used round-clocked) before stepping again. A cell that
 //! exhausts its restart budget is quarantined: it keeps serving
-//! traffic as a static PF scheduler (via the robust driver's shed
-//! arm) so the fleet keeps running, but never re-enters inference.
+//! traffic as a static PF scheduler (the robust loop's shed arm) so
+//! the fleet keeps running, but never re-enters inference.
 //!
 //! ## Watchdog semantics
 //!
@@ -50,44 +49,45 @@
 //!
 //! ## Load shedding
 //!
-//! With a [`SheddingPolicy`] configured, the supervisor computes a
-//! fleet *pressure* each round: the sum, over cells actively in (or
-//! entering) inference, of their scripted stall factor — a healthy
-//! inferring cell contributes 1, a cell stalling at 10× contributes
-//! 10, cells that are speculating, shed, quarantined or waiting out a
-//! backoff contribute 0. While pressure exceeds the high watermark,
-//! the lowest-priority contributing cell is shed to PF fallback; once
-//! pressure is at or below the low watermark, one shed cell (highest
-//! priority first) is re-admitted per round. Every transition is
-//! recorded as a [`ShedEvent`] in the [`FleetHealthReport`].
+//! With a [`SheddingPolicy`] configured, each round computes a fleet
+//! *pressure*: the sum, over cells actively in (or entering)
+//! inference, of their scripted stall factor — a healthy inferring
+//! cell contributes 1, a cell stalling at 10× contributes 10, cells
+//! that are speculating, shed, quarantined or waiting out a backoff
+//! contribute 0. Above the high watermark the lowest-priority
+//! contributing cells are shed to PF fallback; at or below the low
+//! watermark one shed cell is re-admitted per round.
 //!
 //! ## Determinism and resume
 //!
 //! Everything here is clocked in rounds and subframes — never wall
 //! time — and all randomness (restart jitter) comes from seeded
 //! [`DetRng`] streams derived per cell, so a supervised run is a pure
-//! function of its inputs. Supervisor state (health, retry budget,
-//! fired crash injections, backoff progress) persists in a sidecar
-//! file next to each cell checkpoint, so killing and restarting the
-//! whole supervised fleet resumes bit-identically.
+//! function of its inputs. Supervision state persists in a versioned
+//! sidecar (`CellSidecar`) next to each cell checkpoint, so killing and
+//! restarting the fleet resumes bit-identically.
 
-use crate::engine::{FleetEngine, HeartbeatCounter};
+use crate::engine::{CellGeometry, EngineArena, FleetEngine, HeartbeatCounter};
 use crate::error::BluError;
 use crate::robust::{
-    OrchestratorState, RobustConfig, RobustDriver, RobustRunReport, RobustSnapshot,
+    check_snapshot, start_cell, step_cell_shed, step_cell_with, OrchestratorState, RobustConfig,
+    RobustRunReport, RobustSnapshot,
 };
 use crate::runtime::breaker::BreakerState;
-use crate::runtime::checkpoint::{load_robust_checkpoint, save_robust_checkpoint};
+use crate::runtime::checkpoint::{
+    io_err, load_robust_checkpoint, save_robust_checkpoint, write_json_atomic,
+};
 use crate::runtime::panic_message;
 use blu_sim::rng::DetRng;
 use blu_traces::faults::FaultyCapture;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Sidecar-format version written and required by this build.
-pub const SUPERVISOR_SIDECAR_VERSION: u32 = 1;
+pub const CELL_SIDECAR_VERSION: u32 = 2;
 
 /// A supervised cell's health, as seen by the fleet supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -223,12 +223,6 @@ impl CellSupervisor {
         &self.transitions
     }
 
-    /// Consecutive silent steps currently accumulated toward the
-    /// stall watchdog (persisted in resume sidecars).
-    pub(crate) fn silent_steps(&self) -> u32 {
-        self.silent_steps
-    }
-
     fn transition(&mut self, at_subframe: u64, to: CellHealth, cause: HealthCause) {
         self.transitions.push(HealthTransition {
             at_subframe,
@@ -317,21 +311,6 @@ impl CellSupervisor {
             );
         }
     }
-
-    /// Reinstall persisted machine state (sidecar resume). The retry
-    /// budget and watchdog threshold stay as configured.
-    pub fn restore_state(
-        &mut self,
-        health: CellHealth,
-        restarts_used: u32,
-        silent_steps: u32,
-        transitions: Vec<HealthTransition>,
-    ) {
-        self.health = health;
-        self.restarts_used = restarts_used;
-        self.silent_steps = silent_steps;
-        self.transitions = transitions;
-    }
 }
 
 /// Restart backoff tuning, clocked in fleet rounds.
@@ -376,57 +355,25 @@ impl RestartBackoffConfig {
         }
         Ok(())
     }
-}
 
-/// Capped exponential backoff with deterministic jitter — the circuit
-/// breaker's escalation formula, re-clocked in fleet rounds and fed
-/// by a per-cell derived RNG stream. Crate-visible so the `blu serve`
-/// daemon's restart ladder escalates identically to the batch
-/// supervisor's.
-#[derive(Debug, Clone)]
-pub(crate) struct RestartBackoff {
-    config: RestartBackoffConfig,
-    rng: DetRng,
-    attempts: u32,
-}
-
-impl RestartBackoff {
-    pub(crate) fn new(config: RestartBackoffConfig, rng: DetRng) -> Self {
-        RestartBackoff {
-            config,
-            rng,
-            attempts: 0,
-        }
-    }
-
-    /// Rebuild a backoff that has already granted `attempts` waits:
-    /// replaying the draws keeps the jitter stream bit-identical
-    /// across kill/resume.
-    pub(crate) fn replayed(config: RestartBackoffConfig, rng: DetRng, attempts: u32) -> Self {
-        let mut b = RestartBackoff::new(config, rng);
-        for _ in 0..attempts {
-            b.next_wait_rounds();
-        }
-        b
-    }
-
-    pub(crate) fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Rounds to idle before the next step attempt. Mirrors
-    /// [`CircuitBreaker`](crate::runtime::breaker::CircuitBreaker):
-    /// `base * 2^(attempts-1)`, saturating, capped, ±jitter, min 1.
-    pub(crate) fn next_wait_rounds(&mut self) -> u64 {
-        self.attempts = self.attempts.saturating_add(1);
-        let exp = (self.attempts - 1).min(32);
+    /// Rounds to idle after restart `attempt` (1-based): the circuit
+    /// breaker's escalation formula re-clocked in fleet rounds —
+    /// `base * 2^(attempt-1)`, saturating, capped, ±jitter from one
+    /// draw of the cell's `rng` stream, at least 1.
+    pub(crate) fn wait_rounds(&self, attempt: u32, rng: &mut DetRng) -> u64 {
+        let exp = attempt.saturating_sub(1).min(32);
         let backoff = self
-            .config
             .base_rounds
             .saturating_mul(1u64 << exp)
-            .min(self.config.max_rounds);
-        let factor = 1.0 + self.config.jitter_frac * (2.0 * self.rng.f64() - 1.0);
+            .min(self.max_rounds);
+        let factor = 1.0 + self.jitter_frac * (2.0 * rng.f64() - 1.0);
         ((backoff as f64 * factor) as u64).max(1)
+    }
+
+    /// The longest wait [`Self::wait_rounds`] can draw: the cap at full
+    /// positive jitter.
+    pub fn max_wait_rounds(&self) -> u64 {
+        (self.max_rounds as f64 * (1.0 + self.jitter_frac)) as u64
     }
 }
 
@@ -445,10 +392,6 @@ pub struct SheddingPolicy {
 }
 
 impl SheddingPolicy {
-    fn priority(&self, cell: usize) -> u32 {
-        self.priorities.get(cell).copied().unwrap_or(0)
-    }
-
     /// Reject watermarks that could never admit or never shed.
     pub fn validate(&self, n_cells: usize) -> Result<(), BluError> {
         if !self.high_watermark.is_finite()
@@ -551,16 +494,12 @@ impl SupervisorConfig {
     }
 }
 
-/// Hooks into the supervised fleet loop — the chaos harness's seam
-/// for tearing checkpoints and auditing transitions. All methods
-/// default to no-ops and run on the sequential coordinator, never
-/// inside the parallel step.
+/// Hook into the supervised fleet loop — the chaos harness's seam
+/// for tearing checkpoints. It defaults to a no-op and runs on the
+/// sequential coordinator, never inside the parallel step.
 pub trait SupervisorHook {
     /// A cell checkpoint (and its sidecar) was just persisted.
     fn after_checkpoint_save(&mut self, _cell: usize, _path: &Path, _round: u64) {}
-
-    /// A cell recorded a health transition.
-    fn on_transition(&mut self, _cell: usize, _transition: &HealthTransition) {}
 }
 
 /// The do-nothing hook.
@@ -632,24 +571,97 @@ pub struct SupervisedFleetOutcome {
     pub health: FleetHealthReport,
 }
 
-/// Supervisor state persisted next to each cell checkpoint
-/// (`cell-<i>.sup.json`), so kill/resume restores health, retry
-/// budget and crash-injection progress along with the snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SupervisorSidecar {
-    version: u32,
-    health: CellHealth,
-    restarts_used: u32,
-    silent_steps: u32,
-    crashes_fired: u64,
-    crashes_observed: u64,
-    backoff_attempts: u32,
-    backoff_rounds_left: u64,
-    shed: bool,
-    shed_rounds: u64,
-    transitions: Vec<HealthTransition>,
-    restart_sources: Vec<RestartSource>,
-    last_error: Option<String>,
+/// Where a supervised cell persists: its checkpoint, its sidecar and
+/// the grid cadence of its saves.
+pub(crate) struct CellFiles {
+    pub(crate) checkpoint: PathBuf,
+    pub(crate) sidecar: PathBuf,
+    pub(crate) every_subframes: u64,
+}
+
+/// A supervised cell's supervision state, persisted next to each of
+/// its checkpoints so kill/resume restores health, retry budget,
+/// backoff, shedding and crash-injection progress along with the
+/// snapshot. The batch fleet writes it as `cell-<i>.sup.json`; the
+/// daemon wraps it with the cell's id and spec in
+/// `cell-<id>.serve.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct CellSidecar {
+    pub(crate) version: u32,
+    pub(crate) health: CellHealth,
+    pub(crate) restarts_used: u32,
+    pub(crate) silent_steps: u32,
+    pub(crate) crashes_fired: u64,
+    pub(crate) crashes_observed: u64,
+    pub(crate) backoff_rounds_left: u64,
+    pub(crate) shed: bool,
+    pub(crate) shed_rounds: u64,
+    pub(crate) finished: bool,
+    pub(crate) transitions: Vec<HealthTransition>,
+    pub(crate) restart_sources: Vec<RestartSource>,
+    pub(crate) last_error: Option<String>,
+}
+
+impl CellSidecar {
+    /// Check a sidecar document's `version` before its typed decode,
+    /// so a format change reads as one and not as a missing field.
+    pub(crate) fn check_version(doc: &Value) -> Result<(), String> {
+        match doc
+            .as_map()
+            .and_then(|m| serde::field(m, "version"))
+            .and_then(Value::as_u128)
+        {
+            Some(v) if v == u128::from(CELL_SIDECAR_VERSION) => Ok(()),
+            Some(v) => Err(format!(
+                "sidecar has version {v}, this build requires {CELL_SIDECAR_VERSION}"
+            )),
+            None => Err("sidecar has no integer `version` field".into()),
+        }
+    }
+
+    /// Reject state `sup` could never have written. Resume replays one
+    /// backoff draw per restart, so the restart count is bounded by the
+    /// budget; a wait longer than the longest draw would park the cell.
+    pub(crate) fn check_bounds(&self, sup: &SupervisorConfig) -> Result<(), String> {
+        let within = |field: &str, value: u64, max: u64| {
+            if value <= max {
+                Ok(())
+            } else {
+                Err(format!("sidecar {field} {value} exceeds {max}"))
+            }
+        };
+        let silent_max = sup.stall_threshold_steps.saturating_sub(1);
+        within(
+            "restarts_used",
+            self.restarts_used.into(),
+            sup.max_restarts.into(),
+        )?;
+        within("silent_steps", self.silent_steps.into(), silent_max.into())?;
+        within(
+            "backoff_rounds_left",
+            self.backoff_rounds_left,
+            sup.backoff.max_wait_rounds(),
+        )
+    }
+
+    /// Decode and check a batch sidecar (`cell-<i>.sup.json`).
+    pub(crate) fn decode(text: &str, sup: &SupervisorConfig) -> Result<Self, String> {
+        let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        CellSidecar::check_version(&doc)?;
+        let side: CellSidecar = serde_json::from_value(&doc).map_err(|e| e.to_string())?;
+        side.check_bounds(sup)?;
+        Ok(side)
+    }
+}
+
+/// Read and decode a sidecar file; every failure is a typed
+/// checkpoint error naming the file.
+pub(crate) fn read_sidecar<T>(
+    path: &Path,
+    decode: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, BluError> {
+    let text = fs::read_to_string(path).map_err(|e| io_err("reading", path, e))?;
+    decode(&text).map_err(|e| io_err("decoding", path, e))
 }
 
 /// Result of one cell's parallel step, settled sequentially.
@@ -668,58 +680,79 @@ enum StepOutcome {
     Failed(String),
 }
 
-struct SupCell<'a> {
-    cell: usize,
-    capture: &'a FaultyCapture,
-    config: &'a RobustConfig,
-    driver: RobustDriver<'a>,
-    sup: CellSupervisor,
-    backoff: RestartBackoff,
+impl StepOutcome {
+    fn of(result: std::thread::Result<Result<(bool, u64), BluError>>, hard_stalled: bool) -> Self {
+        match result {
+            Ok(Ok((more, heartbeats))) => StepOutcome::Progress {
+                more,
+                heartbeats,
+                hard_stalled,
+            },
+            Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
+            Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
+        }
+    }
+}
+
+/// One supervised cell: the robust loop stepped under the health
+/// machine, the restart ladder, backoff, shedding and grid
+/// persistence. The batch fleet borrows each cell's capture and
+/// config; the daemon owns them, since it admits cells at runtime and
+/// layers each spec's streaming window onto its config.
+pub(crate) struct SupervisedCell<'a> {
+    capture: Cow<'a, FaultyCapture>,
+    config: Cow<'a, RobustConfig>,
+    pub(crate) geom: CellGeometry,
+    pub(crate) snap: RobustSnapshot,
+    /// Recycled engine buffers: pure cache, never persisted.
+    arena: EngineArena,
+    pub(crate) sup: CellSupervisor,
+    backoff: RestartBackoffConfig,
+    /// Restart jitter: one draw per granted restart.
+    backoff_rng: DetRng,
     backoff_rounds_left: u64,
+    /// Shedding priority: higher is shed last and re-admitted first.
+    priority: u32,
     crash_sfs: Vec<u64>,
     crashes_fired: usize,
     crashes_observed: u64,
-    shed: bool,
-    shed_rounds: u64,
+    pub(crate) shed: bool,
+    pub(crate) shed_rounds: u64,
     restart_sources: Vec<RestartSource>,
     last_good: Option<RobustSnapshot>,
-    last_error: Option<String>,
+    pub(crate) last_error: Option<String>,
     outcome: StepOutcome,
-    finished: bool,
+    pub(crate) finished: bool,
     final_saved: bool,
-    ckpt_path: Option<PathBuf>,
-    sidecar_path: Option<PathBuf>,
-    every_subframes: u64,
+    pub(crate) files: Option<CellFiles>,
     last_saved: u64,
-    emitted_transitions: usize,
     stall_factor_limit: u32,
 }
 
-impl<'a> SupCell<'a> {
-    fn create(
-        cell: usize,
-        capture: &'a FaultyCapture,
-        config: &'a RobustConfig,
-        sup_cfg: &SupervisorConfig,
+impl<'a> SupervisedCell<'a> {
+    /// A fresh cell. `backoff_rng` is the caller's labelled stream for
+    /// restart jitter.
+    pub(crate) fn new(
+        capture: Cow<'a, FaultyCapture>,
+        config: Cow<'a, RobustConfig>,
+        sup: &SupervisorConfig,
+        backoff_rng: DetRng,
+        priority: u32,
+        files: Option<CellFiles>,
     ) -> Result<Self, BluError> {
-        let ckpt = config.checkpoint.as_ref();
-        let ckpt_path = ckpt.map(|p| p.dir.join(format!("cell-{cell}.json")));
-        let sidecar_path = ckpt.map(|p| p.dir.join(format!("cell-{cell}.sup.json")));
-        let every_subframes = ckpt.map(|p| p.every_subframes).unwrap_or(0);
-        let resume = ckpt.map(|p| p.resume).unwrap_or(false);
-        let crash_sfs = capture.script.crash_subframes();
-        let backoff_rng =
-            DetRng::seed_from_u64(config.seed).derive_indexed("restart-backoff", cell as u64);
-
-        let mut c = SupCell {
-            cell,
+        let (geom, snap) = start_cell(&capture, &config)?;
+        Ok(SupervisedCell {
+            crash_sfs: capture.script.crash_subframes(),
             capture,
             config,
-            driver: RobustDriver::new(capture, config)?,
-            sup: CellSupervisor::new(sup_cfg),
-            backoff: RestartBackoff::new(sup_cfg.backoff, backoff_rng.clone()),
+            geom,
+            snap,
+            arena: EngineArena::new(),
+            sup: CellSupervisor::new(sup),
+            backoff: sup.backoff,
+            backoff_rng,
             backoff_rounds_left: 0,
-            crash_sfs,
+            priority,
             crashes_fired: 0,
             crashes_observed: 0,
             shed: false,
@@ -730,125 +763,127 @@ impl<'a> SupCell<'a> {
             outcome: StepOutcome::Idle,
             finished: false,
             final_saved: false,
-            ckpt_path,
-            sidecar_path,
-            every_subframes,
+            files,
             last_saved: 0,
-            emitted_transitions: 0,
-            stall_factor_limit: sup_cfg.stall_factor_limit,
-        };
+            stall_factor_limit: sup.stall_factor_limit,
+        })
+    }
 
-        if resume {
-            if let Some(path) = c.ckpt_path.clone() {
-                if path.exists() {
-                    let snap = load_robust_checkpoint(&path)?;
-                    c.driver = RobustDriver::resume(capture, config, snap)?;
-                    c.last_saved = c.driver.snap.cursor;
-                    match c.load_sidecar()? {
-                        Some(side) => {
-                            c.sup.restore_state(
-                                side.health,
-                                side.restarts_used,
-                                side.silent_steps,
-                                side.transitions,
-                            );
-                            c.backoff = RestartBackoff::replayed(
-                                sup_cfg.backoff,
-                                backoff_rng,
-                                side.backoff_attempts,
-                            );
-                            c.backoff_rounds_left = side.backoff_rounds_left;
-                            c.crashes_fired =
-                                usize::try_from(side.crashes_fired).unwrap_or(c.crash_sfs.len());
-                            c.crashes_observed = side.crashes_observed;
-                            c.shed = side.shed;
-                            c.shed_rounds = side.shed_rounds;
-                            c.restart_sources = side.restart_sources;
-                            c.last_error = side.last_error;
-                            c.emitted_transitions = c.sup.transitions().len();
-                        }
-                        None => {
-                            // Snapshot without a sidecar (e.g. a run
-                            // checkpointed by the unsupervised loop):
-                            // crash events strictly behind the cursor
-                            // must not refire on replay.
-                            let cursor = c.driver.snap.cursor;
-                            c.crashes_fired = c.crash_sfs.iter().filter(|s| **s < cursor).count();
-                        }
-                    }
+    /// Cell `index` of a batch fleet, resumed from its checkpoint and
+    /// sidecar when the policy asks for it.
+    fn batch(
+        index: usize,
+        capture: &'a FaultyCapture,
+        config: &'a RobustConfig,
+        sup: &SupervisorConfig,
+    ) -> Result<Self, BluError> {
+        let policy = config.checkpoint.as_ref();
+        let files = policy.map(|p| CellFiles {
+            checkpoint: p.dir.join(format!("cell-{index}.json")),
+            sidecar: p.dir.join(format!("cell-{index}.sup.json")),
+            every_subframes: p.every_subframes,
+        });
+        let rng =
+            DetRng::seed_from_u64(config.seed).derive_indexed("restart-backoff", index as u64);
+        let priority = sup
+            .shedding
+            .as_ref()
+            .and_then(|s| s.priorities.get(index).copied())
+            .unwrap_or(0);
+        let mut cell = SupervisedCell::new(
+            Cow::Borrowed(capture),
+            Cow::Borrowed(config),
+            sup,
+            rng,
+            priority,
+            files,
+        )?;
+        if policy.is_some_and(|p| p.resume) {
+            let side = match &cell.files {
+                Some(f) if f.checkpoint.exists() && f.sidecar.exists() => {
+                    Some(read_sidecar(&f.sidecar, |t| CellSidecar::decode(t, sup))?)
                 }
-            }
+                _ => None,
+            };
+            cell.resume(side)?;
         }
-        Ok(c)
+        Ok(cell)
     }
 
-    fn load_sidecar(&self) -> Result<Option<SupervisorSidecar>, BluError> {
-        let Some(path) = &self.sidecar_path else {
-            return Ok(None);
-        };
-        if !path.exists() {
-            return Ok(None);
+    /// Pick up where a killed run stopped: the on-disk checkpoint if
+    /// there is one, then the persisted supervision state. A cell
+    /// killed before its first checkpoint resumes fresh, which is what
+    /// the uninterrupted run did.
+    pub(crate) fn resume(&mut self, side: Option<CellSidecar>) -> Result<(), BluError> {
+        let path = self.files.as_ref().map(|f| f.checkpoint.clone());
+        if let Some(path) = path.filter(|p| p.exists()) {
+            self.adopt_snapshot(load_robust_checkpoint(&path)?)?;
+            self.last_saved = self.snap.cursor;
         }
-        let text = fs::read_to_string(path)
-            .map_err(|e| BluError::Checkpoint(format!("reading {}: {e}", path.display())))?;
-        let side: SupervisorSidecar = serde_json::from_str(&text)
-            .map_err(|e| BluError::Checkpoint(format!("decoding {}: {e}", path.display())))?;
-        if side.version != SUPERVISOR_SIDECAR_VERSION {
-            return Err(BluError::Checkpoint(format!(
-                "supervisor sidecar {} has version {}, this build requires {}",
-                path.display(),
-                side.version,
-                SUPERVISOR_SIDECAR_VERSION
-            )));
-        }
-        Ok(Some(side))
-    }
-
-    fn save_sidecar(&self) -> Result<(), BluError> {
-        let Some(path) = &self.sidecar_path else {
+        let Some(side) = side else {
+            // A snapshot without a sidecar (say, one the unsupervised
+            // loop wrote): crash events strictly behind the cursor must
+            // not refire on replay.
+            let cursor = self.snap.cursor;
+            self.crashes_fired = self.crash_sfs.iter().filter(|s| **s < cursor).count();
             return Ok(());
         };
-        let side = SupervisorSidecar {
-            version: SUPERVISOR_SIDECAR_VERSION,
+        // The retry budget and watchdog threshold stay as configured.
+        self.sup.health = side.health;
+        self.sup.restarts_used = side.restarts_used;
+        self.sup.silent_steps = side.silent_steps;
+        self.sup.transitions = side.transitions;
+        for _ in 0..side.restarts_used {
+            self.backoff_rng.f64();
+        }
+        self.backoff_rounds_left = side.backoff_rounds_left;
+        self.crashes_fired = usize::try_from(side.crashes_fired)
+            .map_or(self.crash_sfs.len(), |n| n.min(self.crash_sfs.len()));
+        self.crashes_observed = side.crashes_observed;
+        self.shed = side.shed;
+        self.shed_rounds = side.shed_rounds;
+        self.finished = side.finished || self.snap.done;
+        self.final_saved = self.finished;
+        self.restart_sources = side.restart_sources;
+        self.last_error = side.last_error;
+        Ok(())
+    }
+
+    /// Install a restored snapshot behind the capture/seed guard.
+    fn adopt_snapshot(&mut self, snap: RobustSnapshot) -> Result<(), BluError> {
+        check_snapshot(&snap, &self.geom, self.config.seed)?;
+        self.snap = snap;
+        Ok(())
+    }
+
+    /// The supervision state to persist.
+    fn sidecar(&self) -> CellSidecar {
+        CellSidecar {
+            version: CELL_SIDECAR_VERSION,
             health: self.sup.health(),
             restarts_used: self.sup.restarts_used(),
             silent_steps: self.sup.silent_steps,
             crashes_fired: self.crashes_fired as u64,
             crashes_observed: self.crashes_observed,
-            backoff_attempts: self.backoff.attempts(),
             backoff_rounds_left: self.backoff_rounds_left,
             shed: self.shed,
             shed_rounds: self.shed_rounds,
+            finished: self.finished,
             transitions: self.sup.transitions().to_vec(),
             restart_sources: self.restart_sources.clone(),
             last_error: self.last_error.clone(),
-        };
-        let json = serde_json::to_string_pretty(&side)
-            .map_err(|e| BluError::Checkpoint(format!("serializing {}: {e}", path.display())))?;
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| BluError::Checkpoint(format!("creating {}: {e}", tmp.display())))?;
-            f.write_all(json.as_bytes())
-                .map_err(|e| BluError::Checkpoint(format!("writing {}: {e}", tmp.display())))?;
-            f.sync_all()
-                .map_err(|e| BluError::Checkpoint(format!("syncing {}: {e}", tmp.display())))?;
         }
-        fs::rename(&tmp, path)
-            .map_err(|e| BluError::Checkpoint(format!("renaming {}: {e}", path.display())))?;
-        Ok(())
     }
 
     /// Sequential pre-round bookkeeping: tick the backoff clock and
     /// complete a pending restart when it elapses.
-    fn pre_round(&mut self) {
+    fn tick_backoff(&mut self) {
         if self.finished || self.backoff_rounds_left == 0 {
             return;
         }
         self.backoff_rounds_left -= 1;
         if self.backoff_rounds_left == 0 {
-            self.sup.restart_complete(self.driver.snap.cursor);
+            self.sup.restart_complete(self.snap.cursor);
         }
     }
 
@@ -858,17 +893,17 @@ impl<'a> SupCell<'a> {
             || self.shed
             || self.backoff_rounds_left > 0
             || self.sup.health() == CellHealth::Quarantined
-            || self.driver.snap.done
+            || self.snap.done
         {
             return 0.0;
         }
-        match self.driver.snap.state {
+        match self.snap.state {
             OrchestratorState::Measuring
             | OrchestratorState::Remeasuring
             | OrchestratorState::Drifting => f64::from(
                 self.capture
                     .script
-                    .runtime_state_at(self.driver.snap.cursor)
+                    .runtime_state_at(self.snap.cursor)
                     .stall_factor,
             ),
             _ => 0.0,
@@ -879,27 +914,26 @@ impl<'a> SupCell<'a> {
     /// outcome for the sequential coordinator. Every panic is caught
     /// here — inside the fleet closure — so a crashing cell can never
     /// abort the shard join.
-    fn parallel_step(&mut self) {
-        self.outcome = self.compute_step();
+    fn compute_step(&mut self) {
+        self.outcome = if self.finished || self.backoff_rounds_left > 0 {
+            StepOutcome::Idle
+        } else if self.sup.health() == CellHealth::Quarantined || self.shed {
+            // PF-only drain: no inference, guaranteed cursor progress.
+            let (capture, config) = (&*self.capture, &*self.config);
+            let (snap, arena) = (&mut self.snap, &mut self.arena);
+            StepOutcome::of(
+                catch_unwind(AssertUnwindSafe(|| {
+                    step_cell_shed(capture, config, snap, arena).map(|more| (more, 1))
+                })),
+                false,
+            )
+        } else {
+            self.guarded_step()
+        };
     }
 
-    fn compute_step(&mut self) -> StepOutcome {
-        if self.finished || self.backoff_rounds_left > 0 {
-            return StepOutcome::Idle;
-        }
-        if self.sup.health() == CellHealth::Quarantined || self.shed {
-            // PF-only drain: no inference, guaranteed cursor progress.
-            return match catch_unwind(AssertUnwindSafe(|| self.driver.step_shed())) {
-                Ok(Ok(more)) => StepOutcome::Progress {
-                    more,
-                    heartbeats: 1,
-                    hard_stalled: false,
-                },
-                Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
-                Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
-            };
-        }
-        let cursor = self.driver.snap.cursor;
+    fn guarded_step(&mut self) -> StepOutcome {
+        let cursor = self.snap.cursor;
         // Scripted cell crashes are one-shot: marked fired *before*
         // the panic, so a restore-and-replay does not refire them.
         let inject = self.crashes_fired < self.crash_sfs.len()
@@ -908,7 +942,7 @@ impl<'a> SupCell<'a> {
             self.crashes_fired += 1;
         }
         let measuring = matches!(
-            self.driver.snap.state,
+            self.snap.state,
             OrchestratorState::Measuring | OrchestratorState::Remeasuring
         );
         let hard_stalled = measuring
@@ -917,25 +951,18 @@ impl<'a> SupCell<'a> {
         // must redo the failed attempt (a panic leaves the snapshot
         // torn; a hard-stalled step must not keep its result), never
         // resume past it.
-        self.last_good = Some(self.driver.snap.clone());
+        self.last_good = Some(self.snap.clone());
+        let (capture, config, geom) = (&*self.capture, &*self.config, &self.geom);
+        let (snap, arena) = (&mut self.snap, &mut self.arena);
         let result = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 panic!("injected cell crash at subframe {cursor}");
             }
             let mut beats = HeartbeatCounter::default();
-            self.driver
-                .step_with(&mut beats)
+            step_cell_with(capture, config, geom, snap, arena, &mut beats)
                 .map(|more| (more, beats.beats()))
         }));
-        match result {
-            Ok(Ok((more, heartbeats))) => StepOutcome::Progress {
-                more,
-                heartbeats,
-                hard_stalled,
-            },
-            Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
-            Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
-        }
+        StepOutcome::of(result, hard_stalled)
     }
 
     /// The sequential half of a round: drive the health machine from
@@ -951,8 +978,8 @@ impl<'a> SupCell<'a> {
                 if !more {
                     self.finished = true;
                 } else if self.sup.health() != CellHealth::Quarantined && !self.shed {
-                    let cursor = self.driver.snap.cursor;
-                    let open = self.driver.snap.breaker.state() == BreakerState::Open;
+                    let cursor = self.snap.cursor;
+                    let open = self.snap.breaker.state() == BreakerState::Open;
                     self.sup.note_breaker(cursor, open);
                     if let Some(kind) = self.sup.note_step(cursor, heartbeats, hard_stalled) {
                         self.fail(kind);
@@ -960,7 +987,7 @@ impl<'a> SupCell<'a> {
                 }
             }
             StepOutcome::Panicked(msg) => {
-                self.crashes_observed += 1;
+                self.crashes_observed = self.crashes_observed.saturating_add(1);
                 self.last_error = Some(msg);
                 self.fail(FailureKind::Panic);
             }
@@ -973,24 +1000,20 @@ impl<'a> SupCell<'a> {
 
     fn fail(&mut self, kind: FailureKind) {
         let was_quarantined = self.sup.health() == CellHealth::Quarantined;
-        let cursor = self.driver.snap.cursor;
-        match self.sup.on_failure(cursor, kind) {
-            RestartDecision::Restart { .. } => {
+        match self.sup.on_failure(self.snap.cursor, kind) {
+            RestartDecision::Restart { attempt } => {
                 let source = self.restore();
                 self.restart_sources.push(source);
-                self.backoff_rounds_left = self.backoff.next_wait_rounds();
+                self.backoff_rounds_left = self.backoff.wait_rounds(attempt, &mut self.backoff_rng);
             }
+            // A quarantined cell failing its PF drain has no further
+            // fallback: freeze it rather than livelock.
+            RestartDecision::Quarantine if was_quarantined => self.finished = true,
             RestartDecision::Quarantine => {
-                if was_quarantined {
-                    // A quarantined cell failing its PF drain has no
-                    // further fallback: freeze it rather than livelock.
-                    self.finished = true;
-                } else {
-                    // Entering quarantine: restore once so the PF tail
-                    // runs from a consistent (not mid-panic) snapshot.
-                    let source = self.restore();
-                    self.restart_sources.push(source);
-                }
+                // Entering quarantine: restore once so the PF tail
+                // runs from a consistent (not mid-panic) snapshot.
+                let source = self.restore();
+                self.restart_sources.push(source);
             }
         }
     }
@@ -999,48 +1022,43 @@ impl<'a> SupCell<'a> {
     /// then from scratch. A torn or version-skewed disk checkpoint
     /// simply falls through — restore never propagates an error.
     fn restore(&mut self) -> RestartSource {
-        if let Some(path) = &self.ckpt_path {
-            if let Ok(snap) = load_robust_checkpoint(path) {
-                if let Ok(d) = RobustDriver::resume(self.capture, self.config, snap) {
-                    self.driver = d;
-                    return RestartSource::DiskCheckpoint;
-                }
+        let disk = self
+            .files
+            .as_ref()
+            .and_then(|f| load_robust_checkpoint(&f.checkpoint).ok());
+        if let Some(snap) = disk {
+            if self.adopt_snapshot(snap).is_ok() {
+                return RestartSource::DiskCheckpoint;
             }
         }
         if let Some(snap) = self.last_good.clone() {
-            if let Ok(d) = RobustDriver::resume(self.capture, self.config, snap) {
-                self.driver = d;
-                return RestartSource::MemorySnapshot;
-            }
+            self.snap = snap;
+            return RestartSource::MemorySnapshot;
         }
-        match RobustDriver::new(self.capture, self.config) {
-            Ok(d) => self.driver = d,
-            // Creation was validated at fleet start; if it fails now
-            // the cell is unservable — freeze it with what it has.
-            Err(_) => self.finished = true,
-        }
+        let config = &self.config;
+        self.snap = RobustSnapshot::fresh(
+            self.geom.n,
+            self.geom.trace_len,
+            config.seed,
+            config.drift_alpha,
+            config.breaker,
+        );
         RestartSource::Fresh
     }
 
-    fn flush_transitions(&mut self, hook: &mut dyn SupervisorHook) {
-        let transitions = self.sup.transitions();
-        for t in &transitions[self.emitted_transitions..] {
-            hook.on_transition(self.cell, t);
-        }
-        self.emitted_transitions = transitions.len();
-    }
-
-    fn persist(
+    /// Persist the checkpoint and the sidecar, `frame`d for its file,
+    /// if a save is due (always with `force`). `Ok(true)` when a
+    /// checkpoint was written.
+    pub(crate) fn persist_framed<T: Serialize>(
         &mut self,
-        round: u64,
         force: bool,
-        hook: &mut dyn SupervisorHook,
-    ) -> Result<(), BluError> {
-        let Some(path) = self.ckpt_path.clone() else {
-            return Ok(());
+        frame: impl FnOnce(CellSidecar) -> T,
+    ) -> Result<bool, BluError> {
+        let Some(files) = &self.files else {
+            return Ok(false);
         };
         if self.finished && self.final_saved {
-            return Ok(());
+            return Ok(false);
         }
         // Grid semantics, not delta-since-last-save: a save fires
         // when the cursor crosses a multiple of `every_subframes`, so
@@ -1048,20 +1066,29 @@ impl<'a> SupCell<'a> {
         // step sequence — a killed-and-resumed fleet re-creates the
         // exact checkpoints (and therefore the exact restore cursors)
         // of an uninterrupted one.
-        let interval_due = self.every_subframes > 0
-            && self.driver.snap.cursor / self.every_subframes
-                != self.last_saved / self.every_subframes;
+        let every = files.every_subframes;
+        let interval_due = every > 0 && self.snap.cursor / every != self.last_saved / every;
         if !(interval_due || self.finished || force) {
-            return Ok(());
+            return Ok(false);
         }
-        save_robust_checkpoint(&path, &self.driver.snap)?;
-        self.last_saved = self.driver.snap.cursor;
-        self.save_sidecar()?;
-        hook.after_checkpoint_save(self.cell, &path, round);
+        save_robust_checkpoint(&files.checkpoint, &self.snap)?;
+        self.last_saved = self.snap.cursor;
+        self.save_sidecar(frame)?;
         if self.finished {
             self.final_saved = true;
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Write the sidecar, `frame`d for its file, without a checkpoint.
+    pub(crate) fn save_sidecar<T: Serialize>(
+        &self,
+        frame: impl FnOnce(CellSidecar) -> T,
+    ) -> Result<(), BluError> {
+        match &self.files {
+            Some(files) => write_json_atomic(&files.sidecar, &frame(self.sidecar())),
+            None => Ok(()),
+        }
     }
 
     fn into_parts(self) -> (RobustRunReport, CellHealthReport) {
@@ -1069,85 +1096,180 @@ impl<'a> SupCell<'a> {
             final_health: self.sup.health(),
             restarts: self.sup.restarts_used(),
             restart_sources: self.restart_sources,
-            transitions: self.sup.transitions.clone(),
+            transitions: self.sup.transitions,
             shed_rounds: self.shed_rounds,
             crashes_observed: self.crashes_observed,
             last_error: self.last_error,
         };
-        (self.driver.into_report(), health)
+        (RobustRunReport::from_snapshot(self.snap), health)
     }
 }
 
-fn apply_shedding(
-    cells: &mut [SupCell<'_>],
-    policy: &SheddingPolicy,
-    round: u64,
-    events: &mut Vec<ShedEvent>,
-    peak_pressure: &mut f64,
-) {
-    let loads: Vec<f64> = cells.iter().map(SupCell::current_load).collect();
-    let mut pressure: f64 = loads.iter().sum();
-    *peak_pressure = peak_pressure.max(pressure);
-    let mut newly_shed = vec![false; cells.len()];
-    // Shed: lowest priority first, highest index on ties.
-    while pressure > policy.high_watermark {
-        let mut pick: Option<usize> = None;
-        for (i, cell) in cells.iter().enumerate() {
-            if cell.shed || loads[i] <= 0.0 {
-                continue;
-            }
-            pick = Some(match pick {
-                None => i,
-                Some(p) => {
-                    let (pp, pi) = (policy.priority(p), policy.priority(i));
-                    if pi < pp || (pi == pp && i > p) {
-                        i
-                    } else {
-                        p
-                    }
-                }
-            });
-        }
-        let Some(i) = pick else { break };
-        cells[i].shed = true;
-        newly_shed[i] = true;
-        pressure -= loads[i];
-        events.push(ShedEvent {
-            round,
-            cell: i,
-            action: ShedAction::Shed,
-            pressure,
-        });
+/// A member of a [`SupervisedFleet`]: a supervised cell, plus how its
+/// sidecar is framed on disk and what a failed save does. The batch
+/// fleet's members are bare cells and abort the run on a failed save;
+/// the daemon's carry their id and spec and record the failure.
+pub(crate) trait FleetMember<'a>: Send {
+    fn cell(&self) -> &SupervisedCell<'a>;
+    fn cell_mut(&mut self) -> &mut SupervisedCell<'a>;
+    /// [`SupervisedCell::persist_framed`] with this member's sidecar
+    /// framing.
+    fn persist(&mut self, force: bool) -> Result<bool, BluError>;
+}
+
+impl<'a> FleetMember<'a> for SupervisedCell<'a> {
+    fn cell(&self) -> &SupervisedCell<'a> {
+        self
     }
-    // Readmit one per round: highest priority first, lowest index on
-    // ties. Cells shed *this* round are not candidates — a
-    // shed-and-readmit in one round would be admission-control noise.
-    if pressure <= policy.low_watermark {
-        let mut pick: Option<usize> = None;
-        for (i, cell) in cells.iter().enumerate() {
-            if !cell.shed || newly_shed[i] || cell.finished {
-                continue;
-            }
-            pick = Some(match pick {
-                None => i,
-                Some(p) => {
-                    let (pp, pi) = (policy.priority(p), policy.priority(i));
-                    if pi > pp || (pi == pp && i < p) {
-                        i
-                    } else {
-                        p
-                    }
-                }
-            });
+
+    fn cell_mut(&mut self) -> &mut SupervisedCell<'a> {
+        self
+    }
+
+    fn persist(&mut self, force: bool) -> Result<bool, BluError> {
+        self.persist_framed(force, |side| side)
+    }
+}
+
+/// What one fleet round did.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RoundTally {
+    pub(crate) restarts: u64,
+    pub(crate) sheds: u64,
+    pub(crate) readmits: u64,
+    pub(crate) shed_cells: u64,
+}
+
+/// A fleet of supervised cells stepped in rounds. The batch fleet runs
+/// rounds to completion; the daemon runs one per `Step`.
+pub(crate) struct SupervisedFleet<M> {
+    pub(crate) cells: Vec<M>,
+    shedding: Option<SheddingPolicy>,
+    /// Every admission-control decision, when the caller keeps a
+    /// ledger (the daemon only counts them).
+    shed_events: Option<Vec<ShedEvent>>,
+    peak_pressure: f64,
+    rounds: u64,
+}
+
+impl<'a, M: FleetMember<'a>> SupervisedFleet<M> {
+    pub(crate) fn new(cells: Vec<M>, shedding: Option<SheddingPolicy>, keep_ledger: bool) -> Self {
+        SupervisedFleet {
+            cells,
+            shedding,
+            shed_events: keep_ledger.then(Vec::new),
+            peak_pressure: 0.0,
+            rounds: 0,
         }
-        if let Some(i) = pick {
-            cells[i].shed = false;
-            events.push(ShedEvent {
-                round,
-                cell: i,
-                action: ShedAction::Readmit,
-                pressure,
-            });
+    }
+
+    pub(crate) fn all_finished(&self) -> bool {
+        self.cells.iter().all(|m| m.cell().finished)
+    }
+
+    /// One round: backoff ticks → shedding → parallel step across the
+    /// [`FleetEngine`] shards → sequential settle, then persistence, in
+    /// cell order, so the outcome is identical at any parallelism. A
+    /// cell's settle reads only its own files, so settling every cell
+    /// before saving any changes no restore.
+    pub(crate) fn round(&mut self, hook: &mut dyn SupervisorHook) -> Result<RoundTally, BluError> {
+        let mut tally = RoundTally::default();
+        for m in self.cells.iter_mut() {
+            m.cell_mut().tick_backoff();
+        }
+        self.apply_shedding(&mut tally);
+        for m in self.cells.iter_mut() {
+            let cell = m.cell_mut();
+            if cell.shed && !cell.finished {
+                cell.shed_rounds = cell.shed_rounds.saturating_add(1);
+                tally.shed_cells += 1;
+            }
+        }
+        let refs: Vec<&mut M> = self.cells.iter_mut().collect();
+        FleetEngine::run(refs, || (), |_, m| m.cell_mut().compute_step());
+        for m in self.cells.iter_mut() {
+            let cell = m.cell_mut();
+            let before = cell.sup.restarts_used();
+            cell.settle();
+            tally.restarts += u64::from(cell.sup.restarts_used() - before);
+        }
+        self.persist_all(false, hook)?;
+        self.rounds += 1;
+        Ok(tally)
+    }
+
+    /// Persist every cell whose save is due (with `force`, every cell
+    /// not yet saved in its final state), in cell order, telling the
+    /// hook where each checkpoint landed.
+    pub(crate) fn persist_all(
+        &mut self,
+        force: bool,
+        hook: &mut dyn SupervisorHook,
+    ) -> Result<(), BluError> {
+        for (i, m) in self.cells.iter_mut().enumerate() {
+            if m.persist(force)? {
+                if let Some(files) = &m.cell().files {
+                    hook.after_checkpoint_save(i, &files.checkpoint, self.rounds);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Shed the lowest-priority contributing cells (highest index on
+    /// ties) while pressure exceeds the high watermark; once at or
+    /// below the low watermark, re-admit one shed cell (highest
+    /// priority, lowest index).
+    fn apply_shedding(&mut self, tally: &mut RoundTally) {
+        let Some(policy) = &self.shedding else {
+            return;
+        };
+        let loads: Vec<f64> = self.cells.iter().map(|m| m.cell().current_load()).collect();
+        let mut pressure: f64 = loads.iter().sum();
+        self.peak_pressure = self.peak_pressure.max(pressure);
+        let mut newly_shed = vec![false; self.cells.len()];
+        let prio = |i: usize| (self.cells[i].cell().priority, std::cmp::Reverse(i));
+        let mut decisions = Vec::new();
+        while pressure > policy.high_watermark {
+            let Some(i) = (0..loads.len())
+                .filter(|&i| !self.cells[i].cell().shed && !newly_shed[i] && loads[i] > 0.0)
+                .min_by_key(|&i| prio(i))
+            else {
+                break;
+            };
+            newly_shed[i] = true;
+            pressure -= loads[i];
+            decisions.push((i, ShedAction::Shed, pressure));
+        }
+        // Cells shed *this* round are not candidates: a shed-and-readmit
+        // in one round would be admission-control noise.
+        if pressure <= policy.low_watermark {
+            if let Some(i) = (0..loads.len())
+                .filter(|&i| {
+                    let cell = self.cells[i].cell();
+                    cell.shed && !newly_shed[i] && !cell.finished
+                })
+                .max_by_key(|&i| prio(i))
+            {
+                decisions.push((i, ShedAction::Readmit, pressure));
+            }
+        }
+        for (i, action, pressure) in decisions {
+            let shed = action == ShedAction::Shed;
+            self.cells[i].cell_mut().shed = shed;
+            if shed {
+                tally.sheds += 1;
+            } else {
+                tally.readmits += 1;
+            }
+            if let Some(ledger) = &mut self.shed_events {
+                ledger.push(ShedEvent {
+                    round: self.rounds,
+                    cell: i,
+                    action,
+                    pressure,
+                });
+            }
         }
     }
 }
@@ -1190,73 +1312,31 @@ pub fn run_supervised_fleet_with_hook(
 ) -> Result<SupervisedFleetOutcome, BluError> {
     sup.validate(captures.len())?;
     config.validate()?;
-    let mut cells: Vec<SupCell<'_>> = captures
+    let cells = captures
         .iter()
         .enumerate()
-        .map(|(i, cap)| SupCell::create(i, cap, config, sup))
-        .collect::<Result<_, _>>()?;
-
-    let mut shed_events: Vec<ShedEvent> = Vec::new();
-    let mut peak_pressure = 0.0f64;
-    let mut round: u64 = 0;
-    loop {
-        if cells.iter().all(|c| c.finished) {
-            break;
-        }
-        if let Some(max) = sup.max_rounds {
-            if round >= max {
-                break;
-            }
-        }
-        for cell in cells.iter_mut() {
-            cell.pre_round();
-        }
-        if let Some(policy) = &sup.shedding {
-            apply_shedding(
-                &mut cells,
-                policy,
-                round,
-                &mut shed_events,
-                &mut peak_pressure,
-            );
-        }
-        for cell in cells.iter_mut() {
-            if cell.shed && !cell.finished {
-                cell.shed_rounds += 1;
-            }
-        }
-        let refs: Vec<&mut SupCell<'_>> = cells.iter_mut().collect();
-        FleetEngine::run(refs, || (), |_, cell| cell.parallel_step());
-        for cell in cells.iter_mut() {
-            cell.settle();
-            cell.flush_transitions(hook);
-            cell.persist(round, false, hook)?;
-        }
-        round += 1;
+        .map(|(i, cap)| SupervisedCell::batch(i, cap, config, sup))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut fleet = SupervisedFleet::new(cells, sup.shedding.clone(), true);
+    while !fleet.all_finished() && sup.max_rounds.is_none_or(|max| fleet.rounds < max) {
+        fleet.round(hook)?;
     }
-    let completed = cells.iter().all(|c| c.finished);
+    let completed = fleet.all_finished();
     // Graceful stop (max_rounds) persists everything so a later run
     // resumes bit-identically; completed cells already saved.
-    for cell in cells.iter_mut() {
-        if !cell.finished {
-            cell.persist(round, true, hook)?;
-        }
-    }
-
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut health_cells = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let (report, health) = cell.into_parts();
-        reports.push(report);
-        health_cells.push(health);
-    }
+    fleet.persist_all(true, hook)?;
+    let (reports, cells) = fleet
+        .cells
+        .into_iter()
+        .map(SupervisedCell::into_parts)
+        .unzip();
     Ok(SupervisedFleetOutcome {
         reports,
         health: FleetHealthReport {
-            cells: health_cells,
-            shed_events,
-            rounds: round,
-            peak_pressure,
+            cells,
+            shed_events: fleet.shed_events.unwrap_or_default(),
+            rounds: fleet.rounds,
+            peak_pressure: fleet.peak_pressure,
             completed,
         },
     })
@@ -1265,55 +1345,14 @@ pub fn run_supervised_fleet_with_hook(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::BluConfig;
     use crate::robust::run_robust_fleet;
-    use blu_phy::cell::CellConfig;
+    use crate::robust::tests::{assert_reports_identical, capture, quick_config};
     use blu_sim::faults::{FaultEvent, FaultKind, FaultScript};
-    use blu_sim::time::Micros;
-    use blu_traces::capture::CaptureConfig;
-    use blu_traces::faults::capture_with_faults;
-
-    fn capture(script: FaultScript, secs: u64, seed: u64) -> FaultyCapture {
-        capture_with_faults(
-            &CaptureConfig {
-                duration: Micros::from_secs(secs),
-                q_range: (0.25, 0.55),
-                ..CaptureConfig::testbed_default()
-            },
-            &script,
-            seed,
-        )
-        .unwrap()
-    }
-
-    fn quick_config() -> RobustConfig {
-        let mut cell = CellConfig::testbed_siso();
-        cell.numerology.n_rbs = 10;
-        let emu = crate::emulator::EmulationConfig::new(cell);
-        RobustConfig::new(BluConfig::new(emu))
-    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("blu-sup-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Reports compared field by field, excluding wall-clock timing.
-    fn assert_reports_identical(a: &RobustRunReport, b: &RobustRunReport) {
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.transitions, b.transitions);
-        assert_eq!(a.verdicts, b.verdicts);
-        assert_eq!(a.measurement_subframes, b.measurement_subframes);
-        assert_eq!(a.n_remeasurements, b.n_remeasurements);
-        assert_eq!(a.speculative_txops, b.speculative_txops);
-        assert_eq!(a.fallback_txops, b.fallback_txops);
-        assert_eq!(a.final_confidence.to_bits(), b.final_confidence.to_bits());
-        assert_eq!(a.peak_drift.to_bits(), b.peak_drift.to_bits());
-        assert_eq!(a.breaker_transitions, b.breaker_transitions);
-        assert_eq!(a.inference_panics, b.inference_panics);
-        assert_eq!(a.deadline_misses, b.deadline_misses);
-        assert_eq!(a.quarantined_constraints, b.quarantined_constraints);
     }
 
     // ---- pure state machine ----
@@ -1408,20 +1447,25 @@ mod tests {
     fn backoff_escalates_caps_and_replays_deterministically() {
         let cfg = RestartBackoffConfig::default();
         let rng = DetRng::seed_from_u64(9).derive_indexed("restart-backoff", 0);
-        let mut a = RestartBackoff::new(cfg, rng.clone());
-        let waits: Vec<u64> = (0..8).map(|_| a.next_wait_rounds()).collect();
+        let mut a = rng.clone();
+        let waits: Vec<u64> = (1..=8).map(|n| cfg.wait_rounds(n, &mut a)).collect();
         assert!(waits.iter().all(|w| *w >= 1));
         let cap = (cfg.max_rounds as f64 * (1.0 + cfg.jitter_frac)) as u64 + 1;
         assert!(waits.iter().all(|w| *w <= cap), "{waits:?} exceeds cap");
+        assert!(waits.iter().all(|w| *w <= cfg.max_wait_rounds()));
         assert!(
             waits[3] > waits[0],
             "backoff must escalate: {:?}",
             &waits[..4]
         );
-        // Replaying 5 attempts reproduces the tail of the stream.
-        let mut b = RestartBackoff::replayed(cfg, rng, 5);
-        assert_eq!(b.next_wait_rounds(), waits[5]);
-        assert_eq!(b.next_wait_rounds(), waits[6]);
+        // Each wait is one draw: skipping 5 draws reproduces the tail
+        // of the stream, which is how resume replays it.
+        let mut b = rng;
+        for _ in 0..5 {
+            b.f64();
+        }
+        assert_eq!(cfg.wait_rounds(6, &mut b), waits[5]);
+        assert_eq!(cfg.wait_rounds(7, &mut b), waits[6]);
     }
 
     // ---- end to end ----

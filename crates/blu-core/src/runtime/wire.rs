@@ -38,6 +38,18 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 /// Bytes of the frame length prefix.
 pub const FRAME_HEADER_LEN: usize = 4;
 
+/// Longest cell trace a spec may ask for, in seconds: 5× the longest
+/// cell the benchmark and CI run. The daemon synthesises the whole
+/// capture on its engine thread at admission; admitting one 600 s cell
+/// grows a release daemon's resident set by about 32 MiB (6.6 MiB for
+/// a 120 s cell).
+pub const MAX_CELL_SECONDS: u64 = 600;
+
+/// Highest churn rate a spec may ask for, in milli-hertz (10 events
+/// per second, 20× the benchmark's churn cells): every event becomes
+/// fault-script entries of the capture.
+pub const MAX_CHURN_MILLIHZ: u64 = 10_000;
+
 /// A cell's workload specification: the daemon synthesizes the cell's
 /// capture deterministically from this (same generator as `blu
 /// chaos`), so the spec is also the resume record — a restarted
@@ -87,10 +99,17 @@ impl CellSpec {
     /// Reject specs the capture generator or the supervisor would
     /// choke on.
     pub fn validate(&self) -> Result<(), BluError> {
-        if self.seconds == 0 {
-            return Err(BluError::InvalidConfig(
-                "cell spec seconds must be > 0".into(),
-            ));
+        if self.seconds == 0 || self.seconds > MAX_CELL_SECONDS {
+            return Err(BluError::InvalidConfig(format!(
+                "cell spec seconds must be in 1..={MAX_CELL_SECONDS}, got {}",
+                self.seconds
+            )));
+        }
+        if self.churn_millihz > MAX_CHURN_MILLIHZ {
+            return Err(BluError::InvalidConfig(format!(
+                "cell spec churn_millihz must be at most {MAX_CHURN_MILLIHZ}, got {}",
+                self.churn_millihz
+            )));
         }
         if self.stall_factor == 0 {
             return Err(BluError::InvalidConfig(

@@ -10,10 +10,10 @@
 
 use blu_core::orchestrator::BluConfig;
 use blu_core::robust::RobustConfig;
-use blu_core::runtime::supervisor::CellHealth;
+use blu_core::runtime::supervisor::{CellHealth, SheddingPolicy};
 use blu_core::runtime::wire::{
     read_frame, roundtrip, write_frame, CellSpec, Request, Response, StatusReport,
-    DEFAULT_MAX_FRAME, WIRE_VERSION,
+    DEFAULT_MAX_FRAME, MAX_CELL_SECONDS, MAX_CHURN_MILLIHZ, WIRE_VERSION,
 };
 use blu_core::runtime::{BluService, ServiceConfig, ServiceHandle};
 use blu_core::EmulationConfig;
@@ -315,6 +315,59 @@ fn unbounded_stream_window_is_refused_at_admission() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Admit a well-formed cell, then offer each hostile spec: every one
+/// must get a typed `InvalidConfig` error naming `field`, write no
+/// sidecar, and leave the resident cell's digest alone.
+fn assert_refused_at_admission(tag: &str, hostile: &[CellSpec], field: &str) {
+    let dir = scratch_dir(tag);
+    let handle = start(&dir, false, |_| {});
+    add_cell(&handle, CellSpec::new(5, 10));
+    step(&handle, 50);
+    let before = digests(&status_of(&handle));
+    for spec in hostile {
+        match ask(&handle, &Request::AddCell { spec: spec.clone() }) {
+            Response::Error { message } => {
+                assert!(message.contains("invalid configuration"), "{message}");
+                assert!(message.contains(field), "{message}");
+            }
+            other => panic!("expected a typed InvalidConfig error, got {other:?}"),
+        }
+        assert_eq!(sidecars(&dir), 1, "a refused cell writes no sidecar");
+        let status = status_of(&handle);
+        assert_eq!(digests(&status), before);
+        assert_eq!(status.counters.admissions, 1);
+    }
+    step(&handle, 1);
+    assert_eq!(status_of(&handle).cells.len(), 1);
+    handle.shutdown();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overlong_cell_duration_is_refused_at_admission() {
+    // The capture is synthesised on the engine thread at admission:
+    // a duration past the bound (but short of overflowing) must bounce
+    // before any of it is generated.
+    let hostile: Vec<CellSpec> = [MAX_CELL_SECONDS + 1, 1 << 40]
+        .into_iter()
+        .map(|seconds| CellSpec::new(6, seconds))
+        .collect();
+    assert_refused_at_admission("long-secs", &hostile, "seconds");
+}
+
+#[test]
+fn excessive_churn_rate_is_refused_at_admission() {
+    let hostile: Vec<CellSpec> = [MAX_CHURN_MILLIHZ + 1, u64::MAX]
+        .into_iter()
+        .map(|churn_millihz| CellSpec {
+            churn_millihz,
+            ..CellSpec::new(6, 10)
+        })
+        .collect();
+    assert_refused_at_admission("churn-rate", &hostile, "churn_millihz");
+}
+
 #[test]
 fn oversized_frame_is_refused_before_allocation() {
     let dir = scratch_dir("bigframe");
@@ -453,8 +506,11 @@ fn watermark_overload_sheds_low_priority_and_readmits() {
     // cell: pressure 5 exceeds the high watermark, so the stalled cell
     // must be shed to PF and later re-admitted once pressure drops.
     let handle = start(&dir, false, |c| {
-        c.high_watermark = 3.0;
-        c.low_watermark = 0.5;
+        c.supervisor.shedding = Some(SheddingPolicy {
+            high_watermark: 3.0,
+            low_watermark: 0.5,
+            priorities: Vec::new(),
+        });
     });
     add_cell(
         &handle,
