@@ -57,7 +57,14 @@ fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_inference");
     group.sample_size(10);
     group.bench_function("parallel_8_cells", |b| {
-        b.iter(|| black_box(infer_batch(black_box(&systems), &cfg)))
+        b.iter(|| {
+            black_box(infer_batch(
+                black_box(&systems),
+                &cfg,
+                &InferenceBackend::Gradient,
+                None,
+            ))
+        })
     });
     group.bench_function("sequential_8_cells", |b| {
         b.iter(|| {

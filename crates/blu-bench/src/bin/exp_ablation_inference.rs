@@ -14,9 +14,12 @@ use blu_bench::statsutil::mean;
 use blu_bench::table::save_results_json;
 use blu_bench::{ExpArgs, Table};
 use blu_core::blueprint::mcmc::{infer_mcmc, McmcConfig};
-use blu_core::blueprint::{infer_topology, topology_accuracy, ConstraintSystem, InferenceConfig};
+use blu_core::blueprint::{
+    infer_topology, topology_accuracy, ConstraintSystem, InferScratch, InferenceBackend,
+    InferenceConfig,
+};
 use blu_core::measure::{measurement_schedule, min_subframes};
-use blu_core::orchestrator::{blueprint_from_measurements, run_measurement_phase};
+use blu_core::orchestrator::{blueprint_from_measurements_with, run_measurement_phase};
 use blu_sim::clientset::ClientSet;
 use blu_sim::rng::DetRng;
 use blu_sim::time::Micros;
@@ -117,12 +120,18 @@ fn main() {
         &["T per pair", "mean exact acc"],
     );
     let mut budget_rows = Vec::new();
+    let mut scratch = InferScratch::default();
     for &t in &[10u64, 25, 50, 100, 250, 1000] {
         let mut accs = Vec::new();
         for trial in 0..trials {
             let trace = trace_for(args.seed + 100 + trial, args.scaled(60, 15));
             let (est, _) = run_measurement_phase(&trace, 8, t).expect("measurement phase");
-            let inf = blueprint_from_measurements(&est, &InferenceConfig::default());
+            let inf = blueprint_from_measurements_with(
+                &est,
+                &InferenceConfig::default(),
+                &InferenceBackend::default(),
+                &mut scratch,
+            );
             accs.push(topology_accuracy(&trace.ground_truth, &inf.topology).exact_fraction());
         }
         let row = BudgetRow {

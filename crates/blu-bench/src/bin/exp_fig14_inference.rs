@@ -16,8 +16,11 @@
 use blu_bench::statsutil::{fraction_at_least, mean, percentile};
 use blu_bench::table::save_results_json;
 use blu_bench::{ExpArgs, Table};
-use blu_core::blueprint::{infer_topology, topology_accuracy, ConstraintSystem, InferenceConfig};
-use blu_core::orchestrator::{blueprint_from_measurements, run_measurement_phase};
+use blu_core::blueprint::{
+    infer_topology, topology_accuracy, ConstraintSystem, InferScratch, InferenceBackend,
+    InferenceConfig,
+};
+use blu_core::orchestrator::{blueprint_from_measurements_with, run_measurement_phase};
 use blu_sim::time::Micros;
 use blu_traces::capture::{capture_synthetic, CaptureConfig};
 use blu_traces::scenario::{generate, ActivityModel, ScenarioConfig};
@@ -51,7 +54,12 @@ fn accuracy_full_trace(trace: &TestbedTrace) -> f64 {
 /// measurement phase with only `t_samples` joint samples per pair.
 fn accuracy_of(trace: &TestbedTrace, t_samples: u64) -> f64 {
     let (est, _) = run_measurement_phase(trace, 8, t_samples).expect("measurement phase");
-    let inf = blueprint_from_measurements(&est, &InferenceConfig::default());
+    let inf = blueprint_from_measurements_with(
+        &est,
+        &InferenceConfig::default(),
+        &InferenceBackend::default(),
+        &mut InferScratch::default(),
+    );
     topology_accuracy(&trace.ground_truth, &inf.topology).exact_fraction()
 }
 

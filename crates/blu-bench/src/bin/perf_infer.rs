@@ -7,8 +7,9 @@
 //! * **single-run latency** — mean wall-clock of one blue-printing
 //!   pass (measurement statistics → inferred topology), on the same
 //!   scenario, estimator, and backend + scratch entry point
-//!   ([`blueprint_from_measurements_with`]) `perf_sched` uses, so
-//!   the two files report the same code path and must agree;
+//!   ([`blueprint_from_measurements_with`], one
+//!   [`InferenceBackend::solve`]) `perf_sched` uses, so the two files
+//!   report the same code path and must agree;
 //! * **MCMC proposals/sec** — the incremental delta-energy chain
 //!   ([`infer_mcmc`]) versus the pre-fast-path reference that clones
 //!   the state and recomputes the full energy every proposal
@@ -17,21 +18,21 @@
 //!   topologies (pinned by blu-core's differential tests), so this is
 //!   a pure like-for-like kernel comparison;
 //! * **batch cells/sec** — N independent cells blue-printed through
-//!   the parallel [`infer_batch`] front end versus the sequential
-//!   reference.
+//!   the parallel `infer_batch(.., None)` front end versus the
+//!   sequential reference ([`infer_batch_sequential`]), and a
+//!   repeated-topology fleet through `infer_batch(.., Some(cache))`
+//!   versus the same batch without the cache.
 //!
 //! `--quick` shrinks every loop for CI smoke runs; the JSON is
 //! written either way.
 
 use blu_bench::runners::topology_with_hts_per_ue;
 use blu_bench::{ExpArgs, Table};
-use blu_core::blueprint::batch::{
-    infer_batch, infer_batch_cached, infer_batch_sequential, infer_batch_with,
-};
+use blu_core::blueprint::batch::{infer_batch, infer_batch_sequential};
 use blu_core::blueprint::mcmc::{infer_mcmc, infer_mcmc_scratch, McmcConfig};
 use blu_core::blueprint::{
     ConstraintSystem, FleetBlueprintCache, FleetCacheStats, InferScratch, InferenceBackend,
-    InferenceConfig, TopologySignature,
+    InferenceConfig,
 };
 use blu_core::measure::{measurement_schedule, OutcomeEstimator};
 use blu_core::orchestrator::{blueprint_from_measurements_with, BluConfig};
@@ -188,7 +189,8 @@ fn main() {
     // Untimed warm-up of both paths: fault in code/data pages and
     // spin up the shard threads once, so neither timed pass pays
     // first-run costs the other doesn't.
-    std::hint::black_box(infer_batch(&systems, &icfg));
+    let gradient = InferenceBackend::Gradient;
+    std::hint::black_box(infer_batch(&systems, &icfg, &gradient, None));
     std::hint::black_box(infer_batch_sequential(
         &systems,
         &icfg,
@@ -204,7 +206,8 @@ fn main() {
     let mut par_secs = f64::INFINITY;
     let mut seq_secs = f64::INFINITY;
     for _ in 0..batch_rounds {
-        let (_, p) = time_secs(|| std::hint::black_box(infer_batch(&systems, &icfg)));
+        let (_, p) =
+            time_secs(|| std::hint::black_box(infer_batch(&systems, &icfg, &gradient, None)));
         let (_, s) = time_secs(|| {
             std::hint::black_box(infer_batch_sequential(
                 &systems,
@@ -238,11 +241,11 @@ fn main() {
     let fleet_backend = InferenceBackend::Gradient;
     // Warm-up + in-bench determinism check: cached results must equal
     // the cache-free batch bit for bit.
-    let cold_reference = infer_batch_with(&fleet_systems, &icfg, &fleet_backend);
+    let cold_reference = infer_batch(&fleet_systems, &icfg, &fleet_backend, None);
     {
         let warm_cache = FleetBlueprintCache::new(64);
         let cached_reference =
-            infer_batch_cached(&fleet_systems, &icfg, &fleet_backend, &warm_cache);
+            infer_batch(&fleet_systems, &icfg, &fleet_backend, Some(&warm_cache));
         for (a, b) in cached_reference.iter().zip(&cold_reference) {
             let (a, b) = (a.as_ref().expect("cached"), b.as_ref().expect("cold"));
             assert_eq!(a.topology, b.topology, "cached fleet result diverged");
@@ -264,15 +267,15 @@ fn main() {
     for _ in 0..batch_rounds {
         let round_cache = FleetBlueprintCache::new(64);
         let (_, c) = time_secs(|| {
-            std::hint::black_box(infer_batch_cached(
+            std::hint::black_box(infer_batch(
                 &fleet_systems,
                 &icfg,
                 &fleet_backend,
-                &round_cache,
+                Some(&round_cache),
             ))
         });
         let (_, u) = time_secs(|| {
-            std::hint::black_box(infer_batch_with(&fleet_systems, &icfg, &fleet_backend))
+            std::hint::black_box(infer_batch(&fleet_systems, &icfg, &fleet_backend, None))
         });
         cached_secs = cached_secs.min(c);
         cold_secs = cold_secs.min(u);
@@ -299,17 +302,18 @@ fn main() {
         coalesce_attempts += 1;
         let cache = FleetBlueprintCache::new(4);
         let sys = &class_systems[(coalesce_attempts % fleet_classes) as usize];
-        let sig = TopologySignature::new(sys, &icfg, &fleet_backend);
         let barrier = std::sync::Barrier::new(coalesce_threads as usize);
         std::thread::scope(|scope| {
             for _ in 0..coalesce_threads {
-                let (barrier, cache, sig, backend, icfg) =
-                    (&barrier, &cache, &sig, &fleet_backend, &icfg);
+                let (barrier, cache, backend, icfg) = (&barrier, &cache, &fleet_backend, &icfg);
                 scope.spawn(move || {
                     barrier.wait();
-                    std::hint::black_box(
-                        cache.get_or_solve_infallible(sig, || backend.infer(sys, icfg)),
-                    );
+                    std::hint::black_box(backend.solve(
+                        sys,
+                        icfg,
+                        &mut InferScratch::default(),
+                        Some(cache),
+                    ));
                 });
             }
         });

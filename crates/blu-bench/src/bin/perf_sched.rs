@@ -13,7 +13,8 @@
 //! * **inference latency** — mean wall-clock of one blue-printing
 //!   pass (measurement statistics → inferred topology), routed
 //!   through the same backend + scratch entry point
-//!   ([`blueprint_from_measurements_with`]) `perf_infer` times, so
+//!   ([`blueprint_from_measurements_with`], one
+//!   [`InferenceBackend::solve`]) `perf_infer` times, so
 //!   `BENCH_sched.json` and `BENCH_infer.json` report the same code
 //!   path and must agree.
 //!

@@ -1,10 +1,10 @@
 //! Shared experiment runners.
 
-use blu_core::blueprint::{topology_accuracy, InferenceConfig};
+use blu_core::blueprint::{topology_accuracy, InferScratch, InferenceBackend, InferenceConfig};
 use blu_core::emulator::{EmulationConfig, Emulator};
 use blu_core::joint::{EmpiricalPatternAccess, TopologyAccess};
 use blu_core::metrics::UplinkMetrics;
-use blu_core::orchestrator::{blueprint_from_measurements, run_measurement_phase};
+use blu_core::orchestrator::{blueprint_from_measurements_with, run_measurement_phase};
 use blu_core::sched::{AccessAwareScheduler, PfScheduler, SpeculativeScheduler};
 use blu_phy::cell::CellConfig;
 use blu_traces::schema::TestbedTrace;
@@ -97,7 +97,12 @@ pub fn compare_schedulers(trace: &TestbedTrace, opts: &CompareOpts) -> Scheduler
             run_measurement_phase(trace, opts.cell.max_ues_per_subframe, opts.t_samples)
                 .expect("measurement phase")
         };
-        let inf = blueprint_from_measurements(&est, &InferenceConfig::default());
+        let inf = blueprint_from_measurements_with(
+            &est,
+            &InferenceConfig::default(),
+            &InferenceBackend::default(),
+            &mut InferScratch::default(),
+        );
         let acc = topology_accuracy(&trace.ground_truth, &inf.topology).exact_fraction();
         let access = TopologyAccess::new(&inf.topology);
         let m = emu(trace, &opts.cell, opts.n_txops)

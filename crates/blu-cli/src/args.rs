@@ -11,8 +11,15 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse; `bool_flags` lists flags that take no value.
-    pub fn parse(args: &[String], bool_flags: &[&str]) -> Result<Flags, String> {
+    /// Parse against the command's flags: each of `value_flags` takes
+    /// one value, each of `bool_flags` none. Any other `--name` is an
+    /// error, so a misspelled flag fails the command instead of
+    /// leaving its option silently at the default.
+    pub fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Flags, String> {
         let mut positional = Vec::new();
         let mut named = HashMap::new();
         let mut bools = Vec::new();
@@ -21,11 +28,13 @@ impl Flags {
             if let Some(name) = a.strip_prefix("--") {
                 if bool_flags.contains(&name) {
                     bools.push(name.to_string());
-                } else {
+                } else if value_flags.contains(&name) {
                     let v = it
                         .next()
                         .ok_or_else(|| format!("--{name} expects a value"))?;
                     named.insert(name.to_string(), v.clone());
+                } else {
+                    return Err(format!("unknown flag --{name}"));
                 }
             } else {
                 positional.push(a.clone());
@@ -76,7 +85,8 @@ mod tests {
     fn parses_mixed_args() {
         let f = Flags::parse(
             &sv(&["trace.json", "--ues", "8", "--quick", "--seed", "7"]),
-            &["quick"],
+            &["ues", "seed", "missing"],
+            &["quick", "verbose"],
         )
         .unwrap();
         assert_eq!(f.positional(0), Some("trace.json"));
@@ -89,12 +99,26 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Flags::parse(&sv(&["--ues"]), &[]).is_err());
+        assert!(Flags::parse(&sv(&["--ues"]), &["ues"], &[]).is_err());
     }
 
     #[test]
     fn bad_parse_is_an_error() {
-        let f = Flags::parse(&sv(&["--ues", "eight"]), &[]).unwrap();
+        let f = Flags::parse(&sv(&["--ues", "eight"]), &["ues"], &[]).unwrap();
         assert!(f.get_or("ues", 0usize).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_naming_it() {
+        let args = sv(&["add", "--seed", "1", "--stream-window", "2000"]);
+        let err = Flags::parse(&args, &["seed", "window"], &["help"])
+            .err()
+            .expect("a flag outside the command's lists must be rejected");
+        assert_eq!(err, "unknown flag --stream-window");
+        // Nor may an unknown flag swallow the next argument as its value.
+        let err = Flags::parse(&sv(&["--verbose"]), &["seed"], &["help"])
+            .err()
+            .expect("unknown boolean-looking flag");
+        assert_eq!(err, "unknown flag --verbose");
     }
 }

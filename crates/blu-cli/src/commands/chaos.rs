@@ -71,7 +71,34 @@ fleet cache on, if caching changed any observable outcome).";
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "cells",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "churn-at",
+            "churn-rate",
+            "crash-at",
+            "crash-frac",
+            "crash-gap",
+            "crashes",
+            "fleet-cache-capacity",
+            "max-restarts",
+            "poison-at",
+            "poison-frac",
+            "poison-rate",
+            "rbs",
+            "seconds",
+            "seed",
+            "stall-at",
+            "stall-factor",
+            "stall-frac",
+            "stream-window",
+            "torn-frac",
+        ],
+        &["help"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

@@ -99,7 +99,26 @@ fn report(resp: &Response) -> Result<(), String> {
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "addr",
+            "addr-file",
+            "timeout-ms",
+            "seed",
+            "seconds",
+            "priority",
+            "stall-at",
+            "stall-factor",
+            "churn-rate",
+            "window",
+            "cell",
+            "rounds",
+            "min-cells",
+            "poll-ms",
+        ],
+        &["help"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

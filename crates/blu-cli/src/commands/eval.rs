@@ -35,7 +35,11 @@ fn print_metrics(name: &str, m: &UplinkMetrics) {
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(
+        args,
+        &["scheduler", "antennas", "k", "rbs", "txops"],
+        &["help"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

@@ -22,7 +22,13 @@ OPTIONS:
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["dcf", "help"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "ues", "wifi", "seconds", "seed", "out", "antennas", "q-lo", "q-hi", "region",
+        ],
+        &["dcf", "help"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

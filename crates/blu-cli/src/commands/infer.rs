@@ -2,7 +2,8 @@
 
 use crate::args::Flags;
 use blu_core::blueprint::{
-    topology_accuracy, ConstraintSystem, InferenceBackend, InferenceConfig, McmcConfig,
+    topology_accuracy, ConstraintSystem, InferScratch, InferenceBackend, InferenceConfig,
+    McmcConfig,
 };
 use blu_core::orchestrator::run_measurement_phase;
 use blu_traces::io::load_json;
@@ -25,7 +26,19 @@ OPTIONS:
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "t",
+            "k",
+            "restarts",
+            "mcmc-steps",
+            "t-start",
+            "t-end",
+            "seed",
+        ],
+        &["help"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());
@@ -64,7 +77,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         None => InferenceBackend::Gradient,
     };
     let t0 = Instant::now();
-    let result = backend.infer(&sys, &config);
+    let (result, _) = backend.solve(&sys, &config, &mut InferScratch::default(), None);
     let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!(

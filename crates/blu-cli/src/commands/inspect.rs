@@ -12,7 +12,7 @@ probabilities (measured vs closed-form), SNRs, and trace dimensions.";
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(args, &[], &["help"])?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

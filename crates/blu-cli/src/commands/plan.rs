@@ -13,7 +13,7 @@ OPTIONS:
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help"])?;
+    let flags = Flags::parse(args, &["clients", "k", "t", "show"], &["help"])?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

@@ -219,7 +219,32 @@ pub fn parse_fault_script(spec: &str) -> Result<FaultScript, String> {
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help", "resume", "supervise", "stream"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "seconds",
+            "seed",
+            "ues",
+            "hts",
+            "rbs",
+            "faults",
+            "mcmc-steps",
+            "t-start",
+            "t-end",
+            "deadline-steps",
+            "stall-threshold",
+            "stall-factor-limit",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "max-restarts",
+            "fleet-cache-capacity",
+            "window",
+            "churn-rate",
+            "churn-seed",
+            "churn-start",
+        ],
+        &["help", "resume", "supervise", "stream"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

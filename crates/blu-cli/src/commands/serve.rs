@@ -85,7 +85,28 @@ fn install_signal_handlers() {}
 
 /// Run the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["help", "resume"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "dir",
+            "addr",
+            "port-file",
+            "rbs",
+            "seed",
+            "fleet-cache-capacity",
+            "stream-window",
+            "high",
+            "low",
+            "every-subframes",
+            "max-cells",
+            "queue-depth",
+            "max-frame",
+            "max-restarts",
+            "read-timeout-ms",
+            "cadence-ms",
+        ],
+        &["help", "resume"],
+    )?;
     if flags.has("help") {
         println!("{HELP}");
         return Ok(());

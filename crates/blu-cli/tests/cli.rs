@@ -119,3 +119,20 @@ fn help_flags_work() {
     let out = blu().arg("help").output().unwrap();
     assert!(out.status.success());
 }
+
+#[test]
+fn misspelled_flag_fails_naming_it() {
+    // `ctl add` spells these `--window` and `--churn-rate`: the
+    // misspelled command must fail before any connection is made,
+    // not admit a phased, churn-free cell.
+    let out = blu()
+        .args(["ctl", "--addr", "127.0.0.1:1", "add", "--seed", "1"])
+        .args(["--seconds", "120", "--stream-window", "2000"])
+        .args(["--churn-millihz", "500"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --stream-window"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may be sent or printed");
+}

@@ -5,7 +5,9 @@
 //! PR-1's degraded-mode orchestration re-triggers inference on every
 //! drift event, so re-measurement storms arrive in bursts of
 //! independent per-cell problems. This module fans those problems out
-//! across the engine's [`FleetEngine`] shards. Each shard owns one
+//! across the engine's [`FleetEngine`] shards: [`infer_batch`] makes
+//! one [`InferenceBackend::solve`] call per cell, optionally through
+//! a shared [`FleetBlueprintCache`]. Each shard owns one
 //! [`InferScratch`] for its whole chunk of cells, so the gradient
 //! path's flat buffers (residual tracker, refinement arrays) are
 //! allocated once per shard instead of once per cell — which is also
@@ -28,108 +30,53 @@
 //! and joins shard threads in spawn order, so
 //! [`infer_batch`] returns results **in input order, byte-identical**
 //! to the sequential reference [`infer_batch_sequential`] — the
-//! fan-out reorders wall-clock execution, and the scratch recycles
-//! allocations, but neither ever changes results. The differential
-//! tests below pin this.
+//! fan-out reorders wall-clock execution, the scratch recycles
+//! allocations, and the cache shares solves, but none of them ever
+//! changes results. The differential tests below pin this.
 
 use crate::blueprint::constraints::ConstraintSystem;
-use crate::blueprint::fleetcache::{FleetBlueprintCache, TopologySignature};
-use crate::blueprint::infer::{
-    infer_topology_with, InferScratch, InferenceConfig, InferenceResult,
-};
+use crate::blueprint::fleetcache::FleetBlueprintCache;
+use crate::blueprint::infer::{InferScratch, InferenceConfig, InferenceResult};
 use crate::blueprint::InferenceBackend;
 use crate::engine::FleetEngine;
 use crate::error::BluError;
 use crate::runtime::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One cell's inference, with any panic contained at this boundary.
-pub(crate) fn guarded_infer(
-    sys: &ConstraintSystem,
-    config: &InferenceConfig,
-    backend: &InferenceBackend,
-) -> Result<InferenceResult, BluError> {
-    catch_unwind(AssertUnwindSafe(|| backend.infer(sys, config)))
-        .map_err(|payload| BluError::Panicked(panic_message(payload.as_ref())))
-}
-
-/// [`guarded_infer`] with shard-local scratch: the gradient backend
-/// runs through [`infer_topology_with`] so its buffers are recycled
-/// across the shard's cells; the MCMC backend keeps its own state and
-/// takes the plain path.
-fn guarded_infer_scratch(
-    sys: &ConstraintSystem,
-    config: &InferenceConfig,
-    backend: &InferenceBackend,
-    scratch: &mut InferScratch,
-) -> Result<InferenceResult, BluError> {
-    match backend {
-        InferenceBackend::Gradient => catch_unwind(AssertUnwindSafe(|| {
-            infer_topology_with(sys, config, scratch)
-        }))
-        .map_err(|payload| BluError::Panicked(panic_message(payload.as_ref()))),
-        other => guarded_infer(sys, config, other),
-    }
-}
-
-/// Infer every cell's topology in parallel with the default
-/// (gradient) backend; results in input order, one `Result` per cell.
+/// Infer every cell's topology across the fleet shards through
+/// [`InferenceBackend::solve`] on the shard's scratch; results in
+/// input order, one `Result` per cell. A per-cell panic is contained
+/// and surfaces as that cell's [`BluError::Panicked`].
+///
+/// With a `cache`, repeated topology classes across the batch are
+/// solved once and shared: a cell whose signature is already in
+/// flight on another shard parks on the entry (a *delayed hit*)
+/// instead of duplicating the solve, and every served hit is
+/// byte-identical to what the cell's own fresh solve would have
+/// produced (see [`fleetcache`](crate::blueprint::fleetcache) for the
+/// contract).
 pub fn infer_batch(
     systems: &[ConstraintSystem],
     config: &InferenceConfig,
-) -> Vec<Result<InferenceResult, BluError>> {
-    infer_batch_with(systems, config, &InferenceBackend::Gradient)
-}
-
-/// Infer every cell's topology across the fleet shards with an
-/// explicit backend; results in input order, one `Result` per cell. A
-/// per-cell panic is contained and surfaces as that cell's
-/// [`BluError::Panicked`].
-pub fn infer_batch_with(
-    systems: &[ConstraintSystem],
-    config: &InferenceConfig,
     backend: &InferenceBackend,
+    cache: Option<&FleetBlueprintCache>,
 ) -> Vec<Result<InferenceResult, BluError>> {
     if let Err(e) = config.validate() {
         return systems.iter().map(|_| Err(e.clone())).collect();
     }
     let items: Vec<&ConstraintSystem> = systems.iter().collect();
     FleetEngine::run(items, InferScratch::default, |scratch, sys| {
-        guarded_infer_scratch(sys, config, backend, scratch)
+        catch_unwind(AssertUnwindSafe(|| {
+            backend.solve(sys, config, scratch, cache).0
+        }))
+        .map_err(|payload| BluError::Panicked(panic_message(payload.as_ref())))
     })
 }
 
-/// [`infer_batch_with`] consulting a shared [`FleetBlueprintCache`]
-/// before solving: each shard computes the cell's
-/// [`TopologySignature`] and asks the cache, so repeated topology
-/// classes across the batch are solved once and shared. A cell whose
-/// signature is already in flight on another shard parks on the entry
-/// (a *delayed hit*) instead of duplicating the solve. Results stay
-/// in input order, and every served hit is byte-identical to what the
-/// cell's own fresh solve would have produced (see
-/// [`fleetcache`](crate::blueprint::fleetcache) for the contract).
-pub fn infer_batch_cached(
-    systems: &[ConstraintSystem],
-    config: &InferenceConfig,
-    backend: &InferenceBackend,
-    cache: &FleetBlueprintCache,
-) -> Vec<Result<InferenceResult, BluError>> {
-    if let Err(e) = config.validate() {
-        return systems.iter().map(|_| Err(e.clone())).collect();
-    }
-    let items: Vec<&ConstraintSystem> = systems.iter().collect();
-    FleetEngine::run(items, InferScratch::default, |scratch, sys| {
-        let sig = TopologySignature::new(sys, config, backend);
-        cache
-            .get_or_solve(&sig, || {
-                guarded_infer_scratch(sys, config, backend, scratch)
-            })
-            .map(|(result, _)| result)
-    })
-}
-
-/// Sequential reference for [`infer_batch_with`] — kept alive for
-/// differential testing and single-thread profiling.
+/// Sequential reference for [`infer_batch`]: the allocating oracle
+/// [`InferenceBackend::infer`] mapped over the cells in order, with
+/// the same panic containment — kept alive for differential testing
+/// and single-thread profiling.
 pub fn infer_batch_sequential(
     systems: &[ConstraintSystem],
     config: &InferenceConfig,
@@ -140,13 +87,17 @@ pub fn infer_batch_sequential(
     }
     systems
         .iter()
-        .map(|sys| guarded_infer(sys, config, backend))
+        .map(|sys| {
+            catch_unwind(AssertUnwindSafe(|| backend.infer(sys, config)))
+                .map_err(|payload| BluError::Panicked(panic_message(payload.as_ref())))
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blueprint::infer::infer_topology_with;
     use crate::blueprint::mcmc::McmcConfig;
     use blu_sim::rng::DetRng;
     use blu_sim::topology::InterferenceTopology;
@@ -177,7 +128,7 @@ mod tests {
     fn batch_matches_sequential_gradient() {
         let sys = systems(6);
         let cfg = InferenceConfig::default();
-        let par = infer_batch(&sys, &cfg);
+        let par = infer_batch(&sys, &cfg, &InferenceBackend::Gradient, None);
         let seq = infer_batch_sequential(&sys, &cfg, &InferenceBackend::Gradient);
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {
@@ -199,7 +150,7 @@ mod tests {
             },
             seed: 9,
         };
-        let par = infer_batch_with(&sys, &cfg, &backend);
+        let par = infer_batch(&sys, &cfg, &backend, None);
         let seq = infer_batch_sequential(&sys, &cfg, &backend);
         for (a, b) in par.iter().zip(&seq) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -240,8 +191,8 @@ mod tests {
         let cfg = InferenceConfig::default();
         let backend = InferenceBackend::Gradient;
         let cache = FleetBlueprintCache::new(64);
-        let cached = infer_batch_cached(&repeated, &cfg, &backend, &cache);
-        let plain = infer_batch_with(&repeated, &cfg, &backend);
+        let cached = infer_batch(&repeated, &cfg, &backend, Some(&cache));
+        let plain = infer_batch(&repeated, &cfg, &backend, None);
         for (a, b) in cached.iter().zip(&plain) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.topology, b.topology, "cached result diverged");
@@ -257,7 +208,12 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = infer_batch(&[], &InferenceConfig::default());
+        let out = infer_batch(
+            &[],
+            &InferenceConfig::default(),
+            &InferenceBackend::Gradient,
+            None,
+        );
         assert!(out.is_empty());
     }
 
@@ -270,8 +226,8 @@ mod tests {
         let mut mixed = healthy.clone();
         mixed.insert(2, malformed());
         let cfg = InferenceConfig::default();
-        let clean = infer_batch(&healthy, &cfg);
-        let out = infer_batch(&mixed, &cfg);
+        let clean = infer_batch(&healthy, &cfg, &InferenceBackend::Gradient, None);
+        let out = infer_batch(&mixed, &cfg, &InferenceBackend::Gradient, None);
         assert_eq!(out.len(), 5);
         match &out[2] {
             Err(BluError::Panicked(msg)) => {
@@ -293,7 +249,7 @@ mod tests {
             max_iters: 0,
             ..Default::default()
         };
-        let out = infer_batch(&sys, &cfg);
+        let out = infer_batch(&sys, &cfg, &InferenceBackend::Gradient, None);
         assert_eq!(out.len(), 3);
         for r in &out {
             assert!(matches!(r, Err(BluError::InvalidConfig(_))), "{r:?}");

@@ -452,8 +452,8 @@ impl std::fmt::Debug for FleetBlueprintCache {
 }
 
 /// Removes the in-flight marker and wakes waiters if the owner's
-/// solve fails (error return or panic), so a waiter can claim the
-/// flight instead of parking forever.
+/// solve panics, so a waiter can claim the flight instead of parking
+/// forever.
 struct FlightGuard<'a> {
     cache: &'a FleetBlueprintCache,
     key: u128,
@@ -530,14 +530,15 @@ impl FleetBlueprintCache {
     /// * key collision (canonical bytes differ) → `solve` runs fresh
     ///   and nothing is cached ([`FleetCacheEvent::Bypass`]).
     ///
-    /// An `Err` from `solve` is returned to the owner and nothing is
-    /// published; a panic unwinds through but clears the in-flight
-    /// marker, so waiters never deadlock on a dead owner.
-    pub fn get_or_solve<E>(
+    /// A panic in `solve` unwinds through to the caller, but the
+    /// owner's [`FlightGuard`] clears the in-flight marker on the way
+    /// out, so waiters never deadlock on a dead owner: one of them
+    /// claims the flight and solves.
+    pub fn get_or_solve(
         &self,
         sig: &TopologySignature,
-        solve: impl FnOnce() -> Result<InferenceResult, E>,
-    ) -> Result<(InferenceResult, FleetCacheEvent), E> {
+        solve: impl FnOnce() -> InferenceResult,
+    ) -> (InferenceResult, FleetCacheEvent) {
         let mut waited = false;
         let mut st = self.lock();
         loop {
@@ -551,11 +552,11 @@ impl FleetBlueprintCache {
                         FleetCacheEvent::Hit
                     };
                     drop(st);
-                    return Ok((map_into_requester_labels(&entry, sig), event));
+                    return (map_into_requester_labels(&entry, sig), event);
                 }
                 st.stats.bypasses += 1;
                 drop(st);
-                return solve().map(|r| (r, FleetCacheEvent::Bypass));
+                return (solve(), FleetCacheEvent::Bypass);
             }
             if st.inflight.contains(&sig.key) {
                 waited = true;
@@ -572,7 +573,7 @@ impl FleetBlueprintCache {
             key: sig.key,
             armed: true,
         };
-        let result = solve()?; // FlightGuard cleans up on Err / panic
+        let result = solve(); // FlightGuard cleans up on panic
         let entry = Arc::new(CachedBlueprint {
             canon_bytes: sig.canon_bytes.clone(),
             to_canon: sig.to_canon.clone(),
@@ -586,21 +587,7 @@ impl FleetBlueprintCache {
         drop(st);
         guard.armed = false;
         self.cv.notify_all();
-        Ok((result, FleetCacheEvent::Miss))
-    }
-
-    /// [`Self::get_or_solve`] for infallible solvers (the engine's
-    /// ungated inference path).
-    pub fn get_or_solve_infallible(
-        &self,
-        sig: &TopologySignature,
-        solve: impl FnOnce() -> InferenceResult,
-    ) -> (InferenceResult, FleetCacheEvent) {
-        let r: Result<_, std::convert::Infallible> = self.get_or_solve(sig, || Ok(solve()));
-        match r {
-            Ok(v) => v,
-            Err(e) => match e {},
-        }
+        (result, FleetCacheEvent::Miss)
     }
 }
 
@@ -739,9 +726,9 @@ mod tests {
 
         let cache = FleetBlueprintCache::new(8);
         let sig = TopologySignature::new(&sys, &config, &backend);
-        let (first, ev1) = cache.get_or_solve_infallible(&sig, || backend.infer(&sys, &config));
+        let (first, ev1) = cache.get_or_solve(&sig, || backend.infer(&sys, &config));
         assert_eq!(ev1, FleetCacheEvent::Miss);
-        let (second, ev2) = cache.get_or_solve_infallible(&sig, || panic!("hit must not re-solve"));
+        let (second, ev2) = cache.get_or_solve(&sig, || panic!("hit must not re-solve"));
         assert_eq!(ev2, FleetCacheEvent::Hit);
         assert_results_bit_identical(&first, &fresh);
         assert_results_bit_identical(&second, &fresh);
@@ -756,14 +743,14 @@ mod tests {
         let backend = InferenceBackend::default();
         let sig = TopologySignature::new(&sys, &config, &backend);
         let cache = FleetBlueprintCache::new(8);
-        cache.get_or_solve_infallible(&sig, || backend.infer(&sys, &config));
+        cache.get_or_solve(&sig, || backend.infer(&sys, &config));
 
         // Forge a signature with the same key but different canonical
         // bytes — exactly what a 128-bit hash collision would produce.
         let mut forged = sig.clone();
         forged.canon_bytes.push(0xFF);
         let solved = AtomicUsize::new(0);
-        let (_, ev) = cache.get_or_solve_infallible(&forged, || {
+        let (_, ev) = cache.get_or_solve(&forged, || {
             solved.fetch_add(1, Ordering::SeqCst);
             backend.infer(&sys, &config)
         });
@@ -789,7 +776,7 @@ mod tests {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     barrier.wait();
-                    let (result, _) = cache.get_or_solve_infallible(&sig, || {
+                    let (result, _) = cache.get_or_solve(&sig, || {
                         solves.fetch_add(1, Ordering::SeqCst);
                         // Hold the flight open long enough that the
                         // other racers park instead of racing past.
@@ -825,22 +812,26 @@ mod tests {
         let barrier = Barrier::new(2);
         std::thread::scope(|s| {
             let failer = s.spawn(|| {
-                let r = cache.get_or_solve(&sig, || {
-                    attempts.fetch_add(1, Ordering::SeqCst);
-                    barrier.wait(); // waiter is about to park
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    Err("solver exploded")
-                });
-                assert_eq!(r.unwrap_err(), "solver exploded");
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_solve(&sig, || {
+                        attempts.fetch_add(1, Ordering::SeqCst);
+                        barrier.wait(); // waiter is about to park
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        panic!("solver exploded")
+                    })
+                }));
+                let payload = r.expect_err("the owner's panic unwinds to its caller");
+                assert_eq!(
+                    crate::runtime::panic_message(payload.as_ref()),
+                    "solver exploded"
+                );
             });
             let waiter = s.spawn(|| {
                 barrier.wait();
-                let (result, _) = cache
-                    .get_or_solve::<&str>(&sig, || {
-                        attempts.fetch_add(1, Ordering::SeqCst);
-                        Ok(backend.infer(&sys, &config))
-                    })
-                    .unwrap();
+                let (result, _) = cache.get_or_solve(&sig, || {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    backend.infer(&sys, &config)
+                });
                 assert_results_bit_identical(&result, &backend.infer(&sys, &config));
             });
             failer.join().unwrap();
@@ -862,7 +853,7 @@ mod tests {
         for salt in 0..3u64 {
             let sys = small_system(salt);
             let sig = TopologySignature::new(&sys, &config, &backend);
-            cache.get_or_solve_infallible(&sig, || backend.infer(&sys, &config));
+            cache.get_or_solve(&sig, || backend.infer(&sys, &config));
         }
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
@@ -886,8 +877,8 @@ mod tests {
         assert_eq!(sig_a.key(), sig_b.key());
 
         let cache = FleetBlueprintCache::new(8);
-        let (rep, _) = cache.get_or_solve_infallible(&sig_a, || backend.infer(&sys, &config));
-        let (mapped, ev) = cache.get_or_solve_infallible(&sig_b, || {
+        let (rep, _) = cache.get_or_solve(&sig_a, || backend.infer(&sys, &config));
+        let (mapped, ev) = cache.get_or_solve(&sig_b, || {
             panic!("relabeled request must hit the shared entry")
         });
         assert_eq!(ev, FleetCacheEvent::Hit);

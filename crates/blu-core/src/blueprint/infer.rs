@@ -564,22 +564,16 @@ fn same_start(a: &TransformedTopology, b: &TransformedTopology) -> bool {
 /// accepted whenever they reduce total violation, interleaved with
 /// weight re-fits. The strict exact-edge-set metric is most often
 /// lost to exactly one wrong edge; this pass repairs those directly.
-pub fn polish(sys: &ConstraintSystem, topo: &mut TransformedTopology, passes: usize) {
-    let mut tracker = ResidualTracker::new(sys);
-    polish_plain(&mut tracker, topo, passes);
-}
-
-/// [`polish`] against a caller-provided tracker, re-fitting weights
-/// through the plain [`refine_weights`] — the reference path of
-/// [`infer_topology`].
+/// Weights are re-fit through the plain [`refine_weights`] — the
+/// reference path of [`infer_topology`].
 fn polish_plain(tracker: &mut ResidualTracker<'_>, topo: &mut TransformedTopology, passes: usize) {
     polish_impl(tracker, topo, passes, &mut |sys, topo| {
         refine_weights(sys, topo)
     });
 }
 
-/// [`polish`] against a caller-provided tracker and refinement
-/// scratch — the fast path of [`infer_topology_with`].
+/// [`polish_plain`] with refinement scratch — the fast path of
+/// [`infer_topology_with`].
 fn polish_with(
     tracker: &mut ResidualTracker<'_>,
     topo: &mut TransformedTopology,

@@ -441,8 +441,9 @@ pub struct CellContext<'a, 's> {
     /// Recycled engine hot-state buffers (one arena per fleet shard
     /// or per driver): when set, the transmit stage adopts them into
     /// its segment engine and yields them back afterwards, so
-    /// repeated segments allocate nothing per sub-frame. `None` keeps
-    /// the stage self-contained (fresh buffers per segment).
+    /// repeated segments allocate nothing per sub-frame, and the infer
+    /// stages solve on its scratch. `None` keeps the stages
+    /// self-contained (fresh buffers per segment and per solve).
     pub arena: Option<&'s mut super::hot::EngineArena>,
     /// Shared fleet blueprint cache: when set, the infer stage
     /// consults it (single-flight per canonical topology signature)
@@ -475,22 +476,5 @@ impl<'a, 's> CellContext<'a, 's> {
             arena: None,
             fleet_cache: None,
         }
-    }
-
-    /// Attach a recycled hot-state arena (builder style; see the
-    /// `arena` field).
-    pub fn with_arena(mut self, arena: &'s mut super::hot::EngineArena) -> Self {
-        self.arena = Some(arena);
-        self
-    }
-
-    /// Attach a shared fleet blueprint cache (builder style; see the
-    /// `fleet_cache` field).
-    pub fn with_fleet_cache(
-        mut self,
-        cache: &'a crate::blueprint::fleetcache::FleetBlueprintCache,
-    ) -> Self {
-        self.fleet_cache = Some(cache);
-        self
     }
 }

@@ -220,8 +220,8 @@ impl CellHotState {
 #[derive(Debug, Default)]
 pub struct EngineArena {
     pub(crate) hot: CellHotState,
-    /// Solver buffers reused by every streaming refine of the cell
-    /// (see [`StreamInferStage`](crate::engine::StreamInferStage)).
+    /// Solver buffers reused by every full solve and streaming refine
+    /// of the cell (see [`InferStage`](crate::engine::InferStage)).
     pub(crate) infer: crate::blueprint::InferScratch,
 }
 

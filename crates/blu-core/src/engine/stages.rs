@@ -17,7 +17,7 @@
 //! breaker decisions for itself.
 
 use crate::blueprint::constraints::ConstraintSystem;
-use crate::blueprint::fleetcache::{FleetCacheEvent, TopologySignature};
+use crate::blueprint::fleetcache::FleetCacheEvent;
 use crate::blueprint::infer::InferenceVerdict;
 use crate::blueprint::InferenceResult;
 use crate::engine::cell::{AccessMode, CellEngine};
@@ -213,6 +213,20 @@ impl Stage for MeasureStage {
     }
 }
 
+/// Run `f` on the solver scratch of the cell's arena, so every solve
+/// and refine of the cell recycles one set of buffers; without an
+/// arena (a self-contained context) `f` gets empty buffers. Results
+/// are identical either way.
+fn with_infer_scratch<R>(
+    arena: Option<&mut super::hot::EngineArena>,
+    f: impl FnOnce(&mut crate::blueprint::InferScratch) -> R,
+) -> R {
+    match arena {
+        Some(arena) => f(&mut arena.infer),
+        None => f(&mut crate::blueprint::InferScratch::default()),
+    }
+}
+
 /// Verdict gating for [`InferStage`]: confidence floor and the
 /// fallback probation a failed inference earns.
 #[derive(Debug, Clone, Copy)]
@@ -232,7 +246,11 @@ pub struct InferGate {
 /// it runs under the full resilience guards (scripted poisoning +
 /// quarantine, stall repetition, panic containment, breaker
 /// bookkeeping) and routes the verdict into
-/// Confident/Fallback exactly as the robust loop always has.
+/// Confident/Fallback exactly as the robust loop always has. Both
+/// arms solve through [`InferenceBackend::solve`] on the cell arena's
+/// scratch, consulting the context's fleet cache when one is attached.
+///
+/// [`InferenceBackend::solve`]: crate::blueprint::InferenceBackend::solve
 #[derive(Debug, Clone, Copy)]
 pub struct InferStage {
     /// `Some` enables verdict gating + the resilience guards.
@@ -273,38 +291,34 @@ impl InferStage {
         let icfg = ctx.inference;
         let cache = ctx.fleet_cache;
         let t0 = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected inference panic");
-            }
-            let mut events = Vec::new();
-            let mut solve_once = || match cache {
-                Some(c) => {
-                    // Signature recomputed at every solve from the
-                    // sanitized system actually being solved — never
-                    // captured once and reused — so a lookup after
-                    // churn-mutated statistics can only key on the
-                    // post-churn books. (Poisoned-then-quarantined
-                    // cells likewise key on what the solver saw.)
-                    let sig = TopologySignature::new(&sys, icfg, backend);
-                    let (result, ev) =
-                        c.get_or_solve_infallible(&sig, || backend.infer(&sys, icfg));
-                    events.push(ev);
-                    result
+        let outcome = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if inject_panic {
+                    panic!("injected inference panic");
                 }
-                None => backend.infer(&sys, icfg),
-            };
-            let mut result = solve_once();
-            // A scripted stall models a slow solver by repeating the
-            // (deterministic) solve; the last result is returned.
-            // Under the cache the repeats are hits on the entry the
-            // first solve just published — same result, no extra work.
-            for _ in 1..reps {
-                result = solve_once();
-            }
-            (result, events)
-        }))
-        .map_err(|p| BluError::Panicked(panic_message(p.as_ref())));
+                // The signature is recomputed at every solve from the
+                // sanitized system actually being solved — never
+                // captured once and reused — so a lookup after
+                // churn-mutated statistics can only key on the
+                // post-churn books. (Poisoned-then-quarantined cells
+                // likewise key on what the solver saw.)
+                let mut events = Vec::new();
+                let (mut result, event) = backend.solve(&sys, icfg, scratch, cache);
+                events.extend(event);
+                // A scripted stall models a slow solver by repeating
+                // the (deterministic) solve; the last result is
+                // returned. Under the cache the repeats are hits on
+                // the entry the first solve just published — same
+                // result, no extra work.
+                for _ in 1..reps {
+                    let (again, event) = backend.solve(&sys, icfg, scratch, cache);
+                    result = again;
+                    events.extend(event);
+                }
+                (result, events)
+            }))
+            .map_err(|p| BluError::Panicked(panic_message(p.as_ref())))
+        });
         ctx.snap.inference_micros += t0.elapsed().as_micros() as u64;
         outcome
     }
@@ -324,21 +338,18 @@ impl Stage for InferStage {
             // Unconditional path: the measured constraint system goes
             // straight to the backend and the result is the blueprint.
             let sys = ConstraintSystem::from_measurements(ctx.snap.est.stats());
-            let result = match ctx.fleet_cache {
-                Some(cache) => {
-                    let sig = TopologySignature::new(&sys, ctx.inference, ctx.backend);
-                    let (result, event) = cache
-                        .get_or_solve_infallible(&sig, || ctx.backend.infer(&sys, ctx.inference));
-                    observer.on_fleet_cache(event);
-                    result
-                }
-                None => ctx.backend.infer(&sys, ctx.inference),
-            };
+            let (backend, icfg, cache) = (ctx.backend, ctx.inference, ctx.fleet_cache);
+            let (result, event) = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
+                backend.solve(&sys, icfg, scratch, cache)
+            });
+            if let Some(event) = event {
+                observer.on_fleet_cache(event);
+            }
             observer.on_infer(result.verdict, result.completed);
             ctx.snap.blueprint = Some(result);
             return Ok(StageFlow::Continue);
         };
-        match self.guarded_blueprint(ctx) {
+        let usable = match self.guarded_blueprint(ctx) {
             Ok((result, cache_events)) => {
                 for event in cache_events {
                     observer.on_fleet_cache(event);
@@ -348,19 +359,9 @@ impl Stage for InferStage {
                 }
                 observer.on_infer(result.verdict, result.completed);
                 ctx.snap.verdicts.push(result.verdict);
-                let usable = result.verdict != InferenceVerdict::Degraded
-                    && result.confidence() >= gate.confidence_floor;
-                if usable {
-                    ctx.snap.breaker.record_success(ctx.snap.cursor);
-                    ctx.snap.blueprint = Some(result);
-                    ctx.snap.drift.reset();
-                    ctx.snap.enter(OrchestratorState::Confident);
-                } else {
-                    ctx.snap.breaker.record_failure(ctx.snap.cursor);
-                    ctx.snap.blueprint = None;
-                    ctx.snap.probation_left = gate.fallback_probation_txops;
-                    ctx.snap.enter(OrchestratorState::Fallback);
-                }
+                (result.verdict != InferenceVerdict::Degraded
+                    && result.confidence() >= gate.confidence_floor)
+                    .then_some(result)
             }
             Err(e) => {
                 if matches!(e, BluError::Panicked(_)) {
@@ -368,12 +369,19 @@ impl Stage for InferStage {
                 }
                 observer.on_infer(InferenceVerdict::Degraded, false);
                 ctx.snap.verdicts.push(InferenceVerdict::Degraded);
-                ctx.snap.breaker.record_failure(ctx.snap.cursor);
-                ctx.snap.blueprint = None;
-                ctx.snap.probation_left = gate.fallback_probation_txops;
-                ctx.snap.enter(OrchestratorState::Fallback);
+                None
             }
+        };
+        if usable.is_some() {
+            ctx.snap.breaker.record_success(ctx.snap.cursor);
+            ctx.snap.drift.reset();
+            ctx.snap.enter(OrchestratorState::Confident);
+        } else {
+            ctx.snap.breaker.record_failure(ctx.snap.cursor);
+            ctx.snap.probation_left = gate.fallback_probation_txops;
+            ctx.snap.enter(OrchestratorState::Fallback);
         }
+        ctx.snap.blueprint = usable;
         observer.on_state_change(ctx.snap.cursor, ctx.snap.state);
         Ok(StageFlow::Continue)
     }
@@ -438,18 +446,12 @@ impl Stage for StreamInferStage {
             ..*ctx.inference
         };
         let backend = ctx.backend;
-        // The cell's arena carries its solver scratch across refines;
-        // without one (a self-contained context) each refine starts
-        // from empty buffers. Results are identical either way.
-        let mut own_scratch = None;
-        let scratch = match ctx.arena.as_deref_mut() {
-            Some(arena) => &mut arena.infer,
-            None => own_scratch.insert(crate::blueprint::InferScratch::default()),
-        };
         let t0 = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            stream_refine(&sys, &cfg, start, backend, scratch)
-        }));
+        let outcome = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
+            catch_unwind(AssertUnwindSafe(|| {
+                stream_refine(&sys, &cfg, start, backend, scratch)
+            }))
+        });
         ctx.snap.inference_micros += t0.elapsed().as_micros() as u64;
         let stream = ctx.snap.stream.as_mut().expect("checked above");
         stream.refines += 1;
@@ -496,7 +498,7 @@ fn stream_refine(
 ) -> InferenceResult {
     let mut result = crate::blueprint::infer::refine_topology_with(sys, cfg, start, scratch);
     if result.verdict != InferenceVerdict::Converged {
-        let full = backend.infer_with(sys, cfg, scratch);
+        let (full, _) = backend.solve(sys, cfg, scratch, None);
         if full.violation < result.violation {
             result = full;
         }

@@ -36,7 +36,7 @@
 //! ## End to end, in a dozen lines
 //!
 //! ```
-//! use blu_core::blueprint::{infer_topology, ConstraintSystem, InferenceConfig};
+//! use blu_core::blueprint::{ConstraintSystem, InferScratch, InferenceBackend, InferenceConfig};
 //! use blu_sim::rng::DetRng;
 //! use blu_sim::topology::InterferenceTopology;
 //!
@@ -45,8 +45,17 @@
 //! let truth = InterferenceTopology::random(6, 4, (0.2, 0.6), 0.4, &mut rng);
 //!
 //! // …blue-printed from nothing but pairwise access statistics.
+//! // Every solve goes through `InferenceBackend::solve`: the scratch
+//! // recycles solver buffers across calls, and an optional fleet
+//! // cache (`None` here) shares solves between cells.
 //! let constraints = ConstraintSystem::from_topology(&truth);
-//! let result = infer_topology(&constraints, &InferenceConfig::default());
+//! let mut scratch = InferScratch::default();
+//! let (result, _) = InferenceBackend::Gradient.solve(
+//!     &constraints,
+//!     &InferenceConfig::default(),
+//!     &mut scratch,
+//!     None,
+//! );
 //! assert!(result.violation < 1e-6);
 //! // The inferred blue-print reproduces every client's access odds.
 //! for i in 0..6 {

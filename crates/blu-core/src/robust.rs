@@ -437,6 +437,28 @@ pub(crate) fn check_snapshot(
     Ok(())
 }
 
+/// The pipeline context of one robust-loop step: the cell's capture
+/// and config over its snapshot, its arena (transmit buffers and
+/// solver scratch) and the config's fleet cache, if any.
+fn cell_context<'a, 's>(
+    capture: &'a FaultyCapture,
+    config: &'a RobustConfig,
+    snap: &'s mut RobustSnapshot,
+    arena: &'s mut EngineArena,
+) -> CellContext<'a, 's> {
+    let mut ctx = CellContext::new(
+        &capture.trace,
+        Some(&capture.script),
+        &config.blu.emulation,
+        &config.blu.inference,
+        &config.backend,
+        snap,
+    );
+    ctx.arena = Some(arena);
+    ctx.fleet_cache = config.fleet_cache.as_deref();
+    ctx
+}
+
 /// One state-machine step of the robust loop over caller-held
 /// storage: every driver of a cell (the unsupervised loop below and
 /// the supervised cell of the batch fleet and the daemon) steps
@@ -468,17 +490,7 @@ pub(crate) fn step_cell_with(
             } else {
                 config.remeasure_t_samples
             };
-            let mut ctx = CellContext::new(
-                &capture.trace,
-                Some(&capture.script),
-                &config.blu.emulation,
-                &config.blu.inference,
-                &config.backend,
-                snap,
-            );
-            if let Some(cache) = config.fleet_cache.as_deref() {
-                ctx = ctx.with_fleet_cache(cache);
-            }
+            let mut ctx = cell_context(capture, config, snap, arena);
             let mut measure = MeasureStage {
                 t_samples: t,
                 fidelity: MeasureFidelity::FaultChannel,
@@ -498,15 +510,7 @@ pub(crate) fn step_cell_with(
         OrchestratorState::Confident | OrchestratorState::Fallback => {
             let was_confident = snap.state == OrchestratorState::Confident;
             let segment_start = snap.cursor;
-            let mut ctx = CellContext::new(
-                &capture.trace,
-                Some(&capture.script),
-                &config.blu.emulation,
-                &config.blu.inference,
-                &config.backend,
-                snap,
-            )
-            .with_arena(arena);
+            let mut ctx = cell_context(capture, config, snap, arena);
             let mut generate = GenerateStage;
             let mut schedule = ScheduleStage {
                 policy: SchedulePolicy::Windowed {
@@ -567,15 +571,7 @@ pub(crate) fn step_cell_with(
                 // fires when streaming cannot keep up.
                 let occupancy = snap.stream.as_ref().map_or(0, |s| s.window.occupancy());
                 if was_confident && occupancy >= scfg.min_window {
-                    let mut ctx = CellContext::new(
-                        &capture.trace,
-                        Some(&capture.script),
-                        &config.blu.emulation,
-                        &config.blu.inference,
-                        &config.backend,
-                        snap,
-                    )
-                    .with_arena(arena);
+                    let mut ctx = cell_context(capture, config, snap, arena);
                     let mut refine = StreamInferStage {
                         confidence_floor: config.confidence_floor,
                         refine_deadline_steps: scfg.refine_deadline_steps,
@@ -644,15 +640,7 @@ pub(crate) fn step_cell_shed(
     if snap.done {
         return Ok(false);
     }
-    let mut ctx = CellContext::new(
-        &capture.trace,
-        Some(&capture.script),
-        &config.blu.emulation,
-        &config.blu.inference,
-        &config.backend,
-        snap,
-    )
-    .with_arena(arena);
+    let mut ctx = cell_context(capture, config, snap, arena);
     // Leave ctx.spec at its PF default: a blueprint may survive in
     // the snapshot, but a shed cell must not speculate on it.
     let mut schedule = ScheduleStage {
@@ -1534,8 +1522,8 @@ pub(crate) mod tests {
         );
 
         let cache = FleetBlueprintCache::new(8);
-        let (_, _) = cache.get_or_solve_infallible(&sig_pre, || backend.infer(&pre, &icfg));
-        let (_, _) = cache.get_or_solve_infallible(&sig_post, || backend.infer(&post, &icfg));
+        let (_, _) = cache.get_or_solve(&sig_pre, || backend.infer(&pre, &icfg));
+        let (_, _) = cache.get_or_solve(&sig_post, || backend.infer(&post, &icfg));
         let stats = cache.stats();
         assert_eq!(
             stats.hits, 0,
@@ -1650,6 +1638,15 @@ pub(crate) mod tests {
             serde_json::to_string_pretty(&doc).unwrap().trim_end(),
             golden.trim_end(),
             "serialization of the v1 schema changed"
+        );
+        // So does the borrowing envelope `save_robust_checkpoint`
+        // writes.
+        assert_eq!(
+            serde_json::to_string_pretty(&crate::runtime::checkpoint::CheckpointRef(&doc.snapshot))
+                .unwrap()
+                .trim_end(),
+            golden.trim_end(),
+            "the saved envelope diverged from the v1 schema"
         );
     }
 

@@ -49,6 +49,23 @@ pub struct RobustCheckpoint {
     pub snapshot: RobustSnapshot,
 }
 
+/// The on-disk document of [`RobustCheckpoint`], borrowing its
+/// snapshot: a save serializes the cell's state in place instead of
+/// cloning it into the owned document first. Same bytes as the
+/// derived `Serialize` of [`RobustCheckpoint`] (pinned by the
+/// checkpoint golden and the emitter differential test).
+pub(crate) struct CheckpointRef<'a>(pub(crate) &'a RobustSnapshot);
+
+impl Serialize for CheckpointRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut st = serializer.serialize_struct("RobustCheckpoint", 2)?;
+        st.serialize_field("version", &CHECKPOINT_VERSION)?;
+        st.serialize_field("snapshot", self.0)?;
+        st.end()
+    }
+}
+
 /// A checkpoint-file failure naming the file: `"<what> <path>: <e>"`.
 pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluError {
     BluError::Checkpoint(format!("{what} {}: {e}", path.display()))
@@ -59,16 +76,12 @@ pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluE
 /// directory so the rename itself is durable (Unix only; other
 /// platforms have no portable directory-sync primitive).
 pub fn save_robust_checkpoint(path: &Path, snapshot: &RobustSnapshot) -> Result<(), BluError> {
-    let doc = RobustCheckpoint {
-        version: CHECKPOINT_VERSION,
-        snapshot: snapshot.clone(),
-    };
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir).map_err(|e| io_err("creating directory for", path, e))?;
         }
     }
-    write_json_atomic(path, &doc)?;
+    write_json_atomic(path, &CheckpointRef(snapshot))?;
     sync_parent_dir(path)
 }
 

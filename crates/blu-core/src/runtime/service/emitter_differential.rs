@@ -12,7 +12,7 @@ use super::*;
 use crate::engine::StreamState;
 use crate::robust::tests::run_steps;
 use crate::robust::{start_cell, StreamingConfig};
-use crate::runtime::checkpoint::{RobustCheckpoint, CHECKPOINT_VERSION};
+use crate::runtime::checkpoint::{CheckpointRef, RobustCheckpoint, CHECKPOINT_VERSION};
 use blu_sim::clientset::ClientSet;
 use proptest::prelude::*;
 
@@ -130,12 +130,18 @@ fn boundary_types_stream_the_oracles_bytes() {
     );
     for (what, snap) in &cells {
         assert_same_bytes(&format!("{what} snapshot"), snap);
-        assert_same_bytes(
-            &format!("{what} checkpoint"),
-            &RobustCheckpoint {
-                version: CHECKPOINT_VERSION,
-                snapshot: snap.clone(),
-            },
+        let owned = RobustCheckpoint {
+            version: CHECKPOINT_VERSION,
+            snapshot: snap.clone(),
+        };
+        assert_same_bytes(&format!("{what} checkpoint"), &owned);
+        // The borrowing envelope a save writes renders the owned
+        // document's bytes.
+        assert_same_bytes(&format!("{what} checkpoint ref"), &CheckpointRef(snap));
+        assert_eq!(
+            serde_json::to_string_pretty(&CheckpointRef(snap)).unwrap(),
+            serde_json::to_string_pretty(&owned).unwrap(),
+            "{what} checkpoint ref"
         );
         assert_eq!(
             snapshot_digest(snap),

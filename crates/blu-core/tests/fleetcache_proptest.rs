@@ -13,8 +13,8 @@
 use blu_core::blueprint::fleetcache::relabel_system;
 use blu_core::blueprint::InferenceBackend;
 use blu_core::blueprint::{
-    ConstraintSystem, FleetBlueprintCache, FleetCacheEvent, InferenceConfig, InferenceResult,
-    McmcConfig, TopologySignature,
+    ConstraintSystem, FleetBlueprintCache, FleetCacheEvent, InferScratch, InferenceConfig,
+    InferenceResult, McmcConfig, TopologySignature,
 };
 use blu_sim::rng::DetRng;
 use blu_sim::topology::InterferenceTopology;
@@ -111,9 +111,9 @@ proptest! {
         let cache = FleetBlueprintCache::new(8);
         let sig = TopologySignature::new(&sys, &config, &backend);
         let (published, ev) =
-            cache.get_or_solve_infallible(&sig, || backend.infer(&sys, &config));
-        prop_assert_eq!(ev, FleetCacheEvent::Miss);
-        let (hit, ev) = cache.get_or_solve_infallible(&sig, || {
+            backend.solve(&sys, &config, &mut InferScratch::default(), Some(&cache));
+        prop_assert_eq!(ev, Some(FleetCacheEvent::Miss));
+        let (hit, ev) = cache.get_or_solve(&sig, || {
             panic!("second lookup of the same signature must not re-solve")
         });
         prop_assert_eq!(ev, FleetCacheEvent::Hit);

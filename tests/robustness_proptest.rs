@@ -4,8 +4,9 @@
 //! inference outside probability space.
 
 use blu_core::blueprint::infer::{InferenceConfig, InferenceVerdict};
+use blu_core::blueprint::{InferScratch, InferenceBackend};
 use blu_core::measure::OutcomeEstimator;
-use blu_core::orchestrator::blueprint_from_measurements;
+use blu_core::orchestrator::blueprint_from_measurements_with;
 use blu_sim::clientset::ClientSet;
 use blu_sim::faults::{FaultEvent, FaultKind, FaultScript, ObservationChannel};
 use blu_sim::rng::DetRng;
@@ -72,7 +73,12 @@ proptest! {
         for &(obs, acc) in &stream {
             est.stats_mut().record(obs, acc);
         }
-        let result = blueprint_from_measurements(&est, &InferenceConfig::default());
+        let result = blueprint_from_measurements_with(
+            &est,
+            &InferenceConfig::default(),
+            &InferenceBackend::default(),
+            &mut InferScratch::default(),
+        );
         for ht in &result.topology.hts {
             prop_assert!((0.0..=1.0).contains(&ht.q), "q = {}", ht.q);
         }
