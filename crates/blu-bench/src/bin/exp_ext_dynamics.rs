@@ -13,7 +13,7 @@
 use blu_bench::table::save_results_json;
 use blu_bench::{ExpArgs, Table};
 use blu_core::emulator::{EmulationConfig, Emulator};
-use blu_core::orchestrator::{run_blu_adaptive, run_blu_stale, BluConfig};
+use blu_core::orchestrator::{run_blu, run_blu_stale, BluConfig};
 use blu_core::sched::PfScheduler;
 use blu_phy::cell::CellConfig;
 use blu_sim::time::Micros;
@@ -81,7 +81,11 @@ fn main() {
         emu_cfg.n_txops = n_txops;
         let config = BluConfig::new(emu_cfg.clone());
 
-        let adaptive = run_blu_adaptive(&refs, &config).expect("adaptive run");
+        // Adaptive: every epoch re-measures and re-blue-prints.
+        let adaptive: Vec<_> = epochs
+            .iter()
+            .map(|t| run_blu(t, &config).expect("adaptive run"))
+            .collect();
         let stale = run_blu_stale(&refs, &config).expect("stale run");
         for (e, trace) in epochs.iter().enumerate() {
             let pf = Emulator::new(trace, emu_cfg.clone())

@@ -15,7 +15,7 @@
 //!   labeling is kept so a cached result can be mapped back into the
 //!   requesting cell's own labels.
 //! * [`FleetBlueprintCache`] is a bounded, `Send + Sync` cache over
-//!   the shared [`LruCore`](crate::runtime::lru::LruCore) whose
+//!   the shared [`LruCore`] whose
 //!   entries move `Vacant → InFlight → Ready`: the first cell to miss
 //!   on a signature becomes the *owner* and solves; cells that miss
 //!   while the solve is in flight **park on a condvar** and are woken
@@ -531,7 +531,7 @@ impl FleetBlueprintCache {
     ///   and nothing is cached ([`FleetCacheEvent::Bypass`]).
     ///
     /// A panic in `solve` unwinds through to the caller, but the
-    /// owner's [`FlightGuard`] clears the in-flight marker on the way
+    /// owner's `FlightGuard` clears the in-flight marker on the way
     /// out, so waiters never deadlock on a dead owner: one of them
     /// claims the flight and solves.
     pub fn get_or_solve(

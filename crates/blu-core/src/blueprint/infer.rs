@@ -39,12 +39,12 @@ pub struct InferenceConfig {
     /// Enable the weight-refinement pass after structural repair.
     pub refine_weights: bool,
     /// Residual fraction (violation over constraint target mass) at
-    /// or below which the blueprint counts as [`Converged`]
-    /// (`InferenceVerdict::Converged`). Measured inputs never reach
+    /// or below which the blueprint counts as
+    /// [`Converged`](InferenceVerdict::Converged). Measured inputs never reach
     /// `epsilon`, so this is the noisy-regime acceptance knob.
     pub accept_residual: f64,
     /// Residual fraction at or above which the blueprint is
-    /// [`Degraded`] (`InferenceVerdict::Degraded`): the constraint
+    /// [`Degraded`](InferenceVerdict::Degraded): the constraint
     /// system left most of its target mass unexplained and the
     /// orchestrator should not speculate on it.
     pub degraded_residual: f64,
@@ -632,7 +632,7 @@ fn polish_impl(
 /// combinatorial repair.
 ///
 /// This is the plain reference implementation;
-/// [`refine_weights_with`] is the scratch-backed fast path that
+/// `refine_weights_with` is the scratch-backed fast path that
 /// produces bit-identical weights.
 pub fn refine_weights(sys: &ConstraintSystem, topo: &mut TransformedTopology) {
     let h = topo.hts.len();
@@ -850,9 +850,9 @@ pub fn infer_topology(sys: &ConstraintSystem, config: &InferenceConfig) -> Infer
 /// [`infer_topology`] against caller-provided scratch: the tracker's
 /// flat buffers are rebound to this cell's constraint system instead
 /// of allocated, weight refinement runs its sparse-coverage kernel
-/// ([`refine_weights_with`]) from recycled arrays, and a start
+/// (`refine_weights_with`) from recycled arrays, and a start
 /// bitwise equal to an earlier one in the same
-/// portfolio (see [`same_start`]) is not run again: repair, refinement
+/// portfolio (see `same_start`) is not run again: repair, refinement
 /// and polish are pure functions of the start, so the earlier
 /// restart's result is replayed — provided the deadline token can
 /// account for its iterations exactly ([`DeadlineToken::try_replay`]).
@@ -955,7 +955,7 @@ fn run_portfolio_with(
 
 /// Incremental warm-start refinement — the streaming counterpart of
 /// [`infer_topology_with`]. Instead of the full restart portfolio, a
-/// single [`Repairer`] runs from `start` (typically the serving
+/// single `Repairer` runs from `start` (typically the serving
 /// blueprint lifted back into the log domain via
 /// [`TransformedTopology::from_topology`]) against a constraint
 /// system built from the current sliding observation window, then

@@ -1,30 +1,27 @@
-//! Shared state the stage pipeline runs over.
+//! The state a cell's robust loop runs over.
 //!
-//! [`CellContext`] borrows the immutable inputs of one cell's run
-//! (trace, fault script, configs) and owns references to the mutable
-//! loop state, all of which lives in [`CellSnapshot`] — the
+//! The mutable loop state lives in [`CellSnapshot`] — the
 //! engine-level, serializable record of everything that must survive
 //! a process restart for a resumed run to be bit-identical. The
 //! snapshot (historically `RobustSnapshot`, still re-exported under
 //! that name with an unchanged serde layout), the orchestrator state
 //! machine, the drift monitor, the circuit breaker, and the
-//! checkpoint policy are engine-level concerns here: any staged
-//! composition gets checkpoint/restore and breaker gating for free,
-//! not just the robust loop.
+//! checkpoint policy live here; [`CellGeometry`] is the fixed run
+//! geometry derived from the trace and the cell config.
 
 use crate::blueprint::infer::InferenceVerdict;
-use crate::blueprint::{InferenceBackend, InferenceConfig, InferenceResult, ObservationWindow};
-use crate::emulator::{EmulationConfig, EmulationReport};
+use crate::blueprint::{InferenceResult, ObservationWindow};
+use crate::emulator::EmulationConfig;
 use crate::measure::OutcomeEstimator;
 use crate::metrics::UplinkMetrics;
 use crate::runtime::breaker::{BreakerConfig, CircuitBreaker};
-use blu_sim::faults::{FaultScript, ObservationChannel};
+use blu_sim::faults::ObservationChannel;
 use blu_sim::rng::DetRng;
 use blu_traces::schema::TestbedTrace;
 use serde::{Deserialize, Serialize, Serializer};
 use std::path::PathBuf;
 
-/// Where a staged cell run currently is.
+/// Where a cell's robust run currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OrchestratorState {
     /// Initial full-length measurement phase.
@@ -170,7 +167,7 @@ pub struct StateTransition {
     pub state: OrchestratorState,
 }
 
-/// The complete mutable state of one cell's staged run — everything
+/// The complete mutable state of one cell's robust run — everything
 /// that must survive a process restart for the resumed run to be
 /// bit-identical to an uninterrupted one. Persisted via
 /// [`crate::runtime::checkpoint`]; the serde layout is the v1 robust
@@ -388,93 +385,6 @@ impl CellGeometry {
             dl: emulation.cell.txop.dl_subframes,
             ul: emulation.cell.txop.ul_subframes,
             k_max: emulation.cell.max_ues_per_subframe,
-        }
-    }
-}
-
-/// Which scheduler the transmit stage instantiates, decided by
-/// [`GenerateStage`](crate::engine::GenerateStage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerSpec {
-    /// Plain proportional fair (needs no topology knowledge).
-    #[default]
-    Pf,
-    /// BLU's speculative scheduler over the blue-print in force.
-    Speculative,
-}
-
-/// One transmit segment's window, decided by
-/// [`ScheduleStage`](crate::engine::ScheduleStage).
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentPlan {
-    /// TxOPs to run.
-    pub txops: u64,
-    /// Trace sub-frame the segment starts at.
-    pub start_subframe: u64,
-}
-
-/// Everything a stage pipeline reads and writes: borrowed immutable
-/// inputs, the mutable [`CellSnapshot`], and the inter-stage slots
-/// (scheduler spec, segment plan, last transmit report).
-pub struct CellContext<'a, 's> {
-    /// The captured air being replayed.
-    pub trace: &'a TestbedTrace,
-    /// Scripted faults (`None` = clean observation/runtime path).
-    pub script: Option<&'a FaultScript>,
-    /// Cell/emulation parameters (borrowed — never cloned per
-    /// segment).
-    pub emulation: &'a EmulationConfig,
-    /// Inference parameters.
-    pub inference: &'a InferenceConfig,
-    /// Inference engine.
-    pub backend: &'a InferenceBackend,
-    /// Fixed run geometry.
-    pub geom: CellGeometry,
-    /// The mutable, checkpointable loop state.
-    pub snap: &'s mut CellSnapshot,
-    /// Slot written by the schedule stage, consumed by transmit.
-    pub segment: Option<SegmentPlan>,
-    /// Slot written by the generate stage, consumed by transmit.
-    pub spec: SchedulerSpec,
-    /// Report of the last transmit segment.
-    pub last_report: Option<EmulationReport>,
-    /// Recycled engine hot-state buffers (one arena per fleet shard
-    /// or per driver): when set, the transmit stage adopts them into
-    /// its segment engine and yields them back afterwards, so
-    /// repeated segments allocate nothing per sub-frame, and the infer
-    /// stages solve on its scratch. `None` keeps the stages
-    /// self-contained (fresh buffers per segment and per solve).
-    pub arena: Option<&'s mut super::hot::EngineArena>,
-    /// Shared fleet blueprint cache: when set, the infer stage
-    /// consults it (single-flight per canonical topology signature)
-    /// before solving. `None` keeps inference self-contained,
-    /// bit-identical to the pre-cache engine.
-    pub fleet_cache: Option<&'a crate::blueprint::fleetcache::FleetBlueprintCache>,
-}
-
-impl<'a, 's> CellContext<'a, 's> {
-    /// Assemble a context over borrowed inputs and snapshot.
-    pub fn new(
-        trace: &'a TestbedTrace,
-        script: Option<&'a FaultScript>,
-        emulation: &'a EmulationConfig,
-        inference: &'a InferenceConfig,
-        backend: &'a InferenceBackend,
-        snap: &'s mut CellSnapshot,
-    ) -> Self {
-        CellContext {
-            trace,
-            script,
-            emulation,
-            inference,
-            backend,
-            geom: CellGeometry::derive(trace, emulation),
-            snap,
-            segment: None,
-            spec: SchedulerSpec::default(),
-            last_report: None,
-            arena: None,
-            fleet_cache: None,
         }
     }
 }

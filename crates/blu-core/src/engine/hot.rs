@@ -5,9 +5,9 @@
 //! grant-time rates from the trace on every call, and allocated fresh
 //! `Vec`s per sub-frame (delivered bits, sendable caps, observations,
 //! ZF channel/power vectors). This module carves that state out into
-//! [`CellHotState`]:
+//! `CellHotState`:
 //!
-//! * **Block caches** ([`BlockCache`]) — every PHY quantity the loop
+//! * **Block caches** (`BlockCache`) — every PHY quantity the loop
 //!   derives from CSI is constant within one coherence block
 //!   (`coherence_subframes` sub-frames, 50 in the testbed captures):
 //!   per-UE pilot detectability and per-(UE, RB) linear power,
@@ -221,7 +221,7 @@ impl CellHotState {
 pub struct EngineArena {
     pub(crate) hot: CellHotState,
     /// Solver buffers reused by every full solve and streaming refine
-    /// of the cell (see [`InferStage`](crate::engine::InferStage)).
+    /// of the cell (the robust loop's infer and refine steps).
     pub(crate) infer: crate::blueprint::InferScratch,
 }
 

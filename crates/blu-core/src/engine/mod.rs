@@ -1,11 +1,11 @@
-//! The staged cell engine: one sub-frame loop, one stage pipeline,
-//! every orchestration layer a thin composition.
+//! The cell engine: one sub-frame loop, and the Fig. 9 loop's steps
+//! as plain calls over it.
 //!
 //! The paper's Fig. 9 loop (measure → blue-print → speculate) used to
 //! be implemented three separate times — the emulator's run loops,
 //! the two-phase orchestrator, and the robust driver — each
 //! re-deriving CCA/pilot/decode/PF sequencing by hand. This module
-//! collapses them onto two mechanisms:
+//! gives them one of each mechanism:
 //!
 //! * [`CellEngine`] ([`cell`]) owns the per-subframe sequencing —
 //!   CCA → grant → pilot classification → ZF decode → PF/estimator
@@ -13,27 +13,23 @@
 //!   ([`AccessMode`]), streaming every decoded sub-frame to a
 //!   [`SubframeObserver`] ([`observer`]; no-op default, zero cost
 //!   when unused).
-//! * [`run_pipeline`] ([`stages`]) drives an ordered composition of
-//!   typed stages — [`MeasureStage`] → [`InferStage`] →
-//!   [`GenerateStage`] → [`ScheduleStage`] → [`TransmitStage`] —
-//!   over a shared [`CellContext`] ([`context`]). The **ordering
-//!   contract** is structural: [`StageKind`] derives `Ord` in
-//!   pipeline order and `run_pipeline` rejects any composition whose
-//!   kinds decrease.
+//! * [`stages`] holds the robust loop's steps as plain functions —
+//!   measure through the fault channel, gated infer, streaming
+//!   refine, windowed transmit — which `robust::step_cell_with` calls
+//!   in order per state-machine arm. Each announces its
+//!   [`StageKind`] to the observer first; `StageKind` is the
+//!   observer's vocabulary, not a pipeline.
 //!
-//! The mutable loop state lives in [`CellSnapshot`] — the
-//! engine-level, serializable checkpoint (née `RobustSnapshot`, still
-//! re-exported under that name with an unchanged on-disk schema), so
-//! checkpoint/restore, the circuit breaker and the drift monitor are
-//! available to **any** staged composition, not just the robust loop.
-//! Fleet-scale callers fan cells across [`FleetEngine`] ([`fleet`]),
-//! which reproduces the rayon shim's deterministic ordered chunking
-//! while adding per-shard scratch reuse.
+//! The mutable loop state lives in [`CellSnapshot`] ([`context`]) —
+//! the engine-level, serializable checkpoint (née `RobustSnapshot`,
+//! still re-exported under that name with an unchanged on-disk
+//! schema). Fleet-scale callers fan cells across [`FleetEngine`]
+//! ([`fleet`]), which reproduces the rayon shim's deterministic
+//! ordered chunking while adding per-shard scratch reuse.
 //!
-//! Stages carry *mechanism*; *policy* stays with the caller:
-//! `orchestrator::run_blu` composes all five stages once over a fresh
-//! snapshot, while `robust` composes `[Measure, Infer]` or
-//! `[Generate, Schedule, Transmit]` per state-machine arm and keeps
+//! The steps carry *mechanism*; *policy* stays with the caller:
+//! `orchestrator::run_blu` is three direct calls (measurement phase,
+//! one solve, one speculative segment), while `robust` keeps the
 //! drift/probation/breaker decisions for itself.
 
 pub mod cell;
@@ -45,14 +41,10 @@ pub mod stages;
 
 pub use cell::{AccessMode, CellEngine};
 pub use context::{
-    CellContext, CellGeometry, CellSnapshot, CheckpointPolicy, DriftMonitor, OrchestratorState,
-    SchedulerSpec, SegmentPlan, StateTransition, StreamState, Untimed,
+    CellGeometry, CellSnapshot, CheckpointPolicy, DriftMonitor, OrchestratorState, StateTransition,
+    StreamState, Untimed,
 };
 pub use fleet::FleetEngine;
 pub use hot::EngineArena;
 pub use observer::{HeartbeatCounter, NullObserver, StreamEvent, SubframeObserver, SubframeView};
-pub use stages::{
-    run_pipeline, GenerateStage, InferGate, InferStage, MeasureFidelity, MeasureStage,
-    SchedulePolicy, ScheduleStage, Stage, StageFlow, StageKind, StreamInferStage, TransmitFeed,
-    TransmitStage,
-};
+pub use stages::StageKind;

@@ -66,7 +66,7 @@ pub enum StreamEvent {
 /// Observer of the engine's per-subframe sequencing. Every hook
 /// defaults to a no-op, so implementors override only what they tap.
 pub trait SubframeObserver {
-    /// A pipeline stage is about to run.
+    /// A step of the Fig. 9 loop is about to run.
     fn on_stage(&mut self, _kind: StageKind) {}
 
     /// A TxOP's grant went out (`grant_sf` is the grant sub-frame).
@@ -100,8 +100,8 @@ impl SubframeObserver for NullObserver {}
 
 /// Watchdog heartbeat source: counts engine events as liveness beats.
 ///
-/// The fleet supervisor taps one of these into each cell's stage
-/// pipeline per step; a step that produces zero beats did no engine
+/// The fleet supervisor taps one of these into each cell's robust
+/// step as its observer; a step that produces zero beats did no engine
 /// work (no stage entered, no sub-frame decoded, no inference ran)
 /// and counts as a *silent* step toward the stall watchdog. The
 /// counter is read-only telemetry — per the module contract it never

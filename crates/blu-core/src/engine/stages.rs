@@ -1,43 +1,46 @@
-//! The typed stage pipeline: measure → infer → generate → schedule →
-//! transmit.
+//! The robust loop's steps as plain functions, and the vocabulary an
+//! observer hears them by.
 //!
-//! Each [`Stage`] reads and writes the shared
-//! [`CellContext`]; [`run_pipeline`] drives an ordered slice of
-//! stages, announcing each one to the observer and stopping early
-//! when a stage [`Halt`](StageFlow::Halt)s (trace exhausted). The
-//! **stage ordering contract** is structural: [`StageKind`] derives
-//! `Ord` in pipeline order and `run_pipeline` asserts that kinds
-//! never decrease, so a composition that would run `Transmit` before
-//! `Measure` is rejected at the first call, not silently tolerated.
+//! The paper's Fig. 9 loop is a fixed sequence — measure → blue-print
+//! → speculate, re-measuring when the drift monitor trips (§3.7) — so
+//! it runs as direct calls. `orchestrator::run_blu` calls the
+//! measurement phase, one solve and one engine segment. The robust
+//! step (`robust::step_cell_with`) calls `measure` then `infer` in
+//! the Measuring/Remeasuring arms, and `transmit` then, while
+//! streaming, `refine` in the Confident/Fallback arms; a shed cell
+//! runs `transmit` alone, told not to speculate. The functions
+//! carry *mechanism*; the drift gate, probation and breaker policy
+//! stay with the robust step.
 //!
-//! The stages carry *mechanism*; *policy* stays with the caller.
-//! `run_blu` composes all five stages once over a fresh snapshot; the
-//! robust driver composes `[Measure, Infer]` or `[Generate, Schedule,
-//! Transmit]` per state-machine arm and keeps the drift/probation/
-//! breaker decisions for itself.
+//! Each function announces its [`StageKind`]s to the observer before
+//! it does any work, so an observer (the supervisor's
+//! [`HeartbeatCounter`](crate::engine::HeartbeatCounter) among them)
+//! sees one event per stage, in Fig. 9 order.
 
-use crate::blueprint::constraints::ConstraintSystem;
+use crate::blueprint::constraints::{ConstraintSystem, TransformedTopology};
 use crate::blueprint::fleetcache::FleetCacheEvent;
 use crate::blueprint::infer::InferenceVerdict;
-use crate::blueprint::InferenceResult;
+use crate::blueprint::{InferScratch, InferenceBackend, InferenceConfig, InferenceResult};
 use crate::engine::cell::{AccessMode, CellEngine};
-use crate::engine::context::{
-    CellContext, CellSnapshot, OrchestratorState, SchedulerSpec, SegmentPlan,
-};
+use crate::engine::context::{CellGeometry, CellSnapshot, DriftMonitor, OrchestratorState};
+use crate::engine::hot::EngineArena;
 use crate::engine::observer::{StreamEvent, SubframeObserver, SubframeView};
 use crate::error::BluError;
 use crate::joint::TopologyAccess;
 use crate::measure::{measurement_schedule, MeasurementPlan, OutcomeEstimator};
+use crate::robust::RobustConfig;
+use crate::runtime::deadline::Deadline;
 use crate::runtime::panic_message;
 use crate::sched::{PfScheduler, SpeculativeScheduler};
 use blu_sim::clientset::ClientSet;
 use blu_sim::faults::{FaultScript, ObservationChannel};
 use blu_sim::time::SubframeIndex;
+use blu_traces::faults::FaultyCapture;
 use blu_traces::schema::TestbedTrace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The pipeline stages, in their one legal order (`Ord` derives the
-/// ordering contract enforced by [`run_pipeline`]).
+/// The steps of the Fig. 9 loop, in loop order: the names
+/// [`SubframeObserver::on_stage`] reports them by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StageKind {
     /// Run an Algorithm-1 measurement plan against the trace.
@@ -52,64 +55,13 @@ pub enum StageKind {
     Transmit,
 }
 
-/// What a stage tells the pipeline to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageFlow {
-    /// Proceed to the next stage.
-    Continue,
-    /// Stop the pipeline (the trace is exhausted; `snap.done` is
-    /// set by the halting stage).
-    Halt,
-}
-
-/// One typed step of the cell pipeline.
-pub trait Stage {
-    /// Where this stage sits in the ordering contract.
-    fn kind(&self) -> StageKind;
-    /// Execute against the shared context.
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError>;
-}
-
-/// Drive an ordered stage composition over a context. A composition
-/// whose stages are not in non-decreasing [`StageKind`] order is
-/// rejected with [`BluError::StageInvariant`] at the first offending
-/// stage — a typed error rather than a panic, so a fleet running many
-/// compositions degrades per cell instead of aborting the join.
-pub fn run_pipeline(
-    ctx: &mut CellContext<'_, '_>,
-    stages: &mut [&mut dyn Stage],
-    observer: &mut dyn SubframeObserver,
-) -> Result<StageFlow, BluError> {
-    let mut prev: Option<StageKind> = None;
-    for stage in stages.iter_mut() {
-        let kind = stage.kind();
-        if let Some(p) = prev {
-            if kind < p {
-                return Err(BluError::StageInvariant(format!(
-                    "stage pipeline out of order: {kind:?} cannot follow {p:?}"
-                )));
-            }
-        }
-        prev = Some(kind);
-        observer.on_stage(kind);
-        if stage.run(ctx, observer)? == StageFlow::Halt {
-            return Ok(StageFlow::Halt);
-        }
-    }
-    Ok(StageFlow::Continue)
-}
-
 /// Execute one measurement plan against the trace starting at
 /// sub-frame `start`, feeding the estimator. With `channel` set, each
 /// sub-frame's outcome passes through the observation-fault channel
 /// first (misclassification/drops per the script); without it the
 /// outcome is recorded directly. This is the **only** measurement
-/// loop in the workspace — `run_measurement_phase` and
-/// [`MeasureStage`] both execute through it.
+/// loop in the workspace — `run_measurement_phase` and [`measure`]
+/// both execute through it.
 pub(crate) fn run_measure_plan(
     trace: &TestbedTrace,
     plan: &MeasurementPlan,
@@ -137,350 +89,207 @@ pub(crate) fn run_measure_plan(
     }
 }
 
-/// How [`MeasureStage`] reacts when the plan does not fit in the
-/// remaining trace, and whether outcomes pass the fault channel.
-#[derive(Debug, Clone, Copy)]
-pub enum MeasureFidelity {
-    /// Clean observation path; a plan that overruns the trace is a
-    /// typed [`BluError::TraceTooShort`] (the vanilla orchestrator's
-    /// contract — wrapped measurement would bias the statistics).
-    Strict {
-        /// Context string for the error ("measurement phase", …).
-        what: &'static str,
-    },
-    /// Outcomes pass the scripted observation-fault channel; an
-    /// overrunning plan simply ends the run (`done`) — there is no
-    /// more air to measure anyway.
-    FaultChannel,
-}
-
-/// Run an Algorithm-1 plan at the snapshot cursor and advance it.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasureStage {
-    /// Samples per client pair (`T`).
-    pub t_samples: u64,
-    /// Overflow/fault-channel behaviour.
-    pub fidelity: MeasureFidelity,
-}
-
-impl Stage for MeasureStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Measure
+/// Run a `t_samples` Algorithm-1 plan at the snapshot cursor through
+/// the observation-fault channel and advance the cursor. A plan that
+/// overruns the trace ends the run (`done`, `Ok(false)`): there is no
+/// more air to measure.
+pub(crate) fn measure(
+    capture: &FaultyCapture,
+    t_samples: u64,
+    geom: &CellGeometry,
+    snap: &mut CellSnapshot,
+    observer: &mut dyn SubframeObserver,
+) -> Result<bool, BluError> {
+    observer.on_stage(StageKind::Measure);
+    let plan = measurement_schedule(geom.n, geom.k_max, t_samples)?;
+    if snap.cursor + plan.t_max() > geom.trace_len {
+        snap.done = true;
+        return Ok(false);
     }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        _observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        let plan = measurement_schedule(ctx.geom.n, ctx.geom.k_max, self.t_samples)?;
-        if ctx.snap.cursor + plan.t_max() > ctx.geom.trace_len {
-            match self.fidelity {
-                MeasureFidelity::Strict { what } => {
-                    return Err(BluError::TraceTooShort {
-                        what,
-                        needed: plan.t_max(),
-                        available: ctx.geom.trace_len,
-                    });
-                }
-                MeasureFidelity::FaultChannel => {
-                    ctx.snap.done = true;
-                    return Ok(StageFlow::Halt);
-                }
-            }
-        }
-        let cursor = ctx.snap.cursor;
-        let CellSnapshot {
-            ref mut est,
-            ref mut chan,
-            ..
-        } = *ctx.snap;
-        let channel = match self.fidelity {
-            MeasureFidelity::Strict { .. } => None,
-            MeasureFidelity::FaultChannel => {
-                let script = ctx.script.ok_or_else(|| {
-                    BluError::StageInvariant(
-                        "fault-channel measurement requires a fault script".into(),
-                    )
-                })?;
-                Some((chan, script))
-            }
-        };
-        run_measure_plan(ctx.trace, &plan, cursor, est, channel);
-        ctx.snap.cursor += plan.t_max();
-        ctx.snap.measurement_subframes += plan.t_max();
-        Ok(StageFlow::Continue)
-    }
+    let channel = Some((&mut snap.chan, &capture.script));
+    run_measure_plan(&capture.trace, &plan, snap.cursor, &mut snap.est, channel);
+    snap.cursor += plan.t_max();
+    snap.measurement_subframes += plan.t_max();
+    Ok(true)
 }
 
-/// Run `f` on the solver scratch of the cell's arena, so every solve
-/// and refine of the cell recycles one set of buffers; without an
-/// arena (a self-contained context) `f` gets empty buffers. Results
-/// are identical either way.
-fn with_infer_scratch<R>(
-    arena: Option<&mut super::hot::EngineArena>,
-    f: impl FnOnce(&mut crate::blueprint::InferScratch) -> R,
-) -> R {
-    match arena {
-        Some(arena) => f(&mut arena.infer),
-        None => f(&mut crate::blueprint::InferScratch::default()),
-    }
-}
-
-/// Verdict gating for [`InferStage`]: confidence floor and the
-/// fallback probation a failed inference earns.
-#[derive(Debug, Clone, Copy)]
-pub struct InferGate {
-    /// Minimum blueprint confidence (`1 − residual fraction`) to
-    /// speculate on.
-    pub confidence_floor: f64,
-    /// TxOPs of PF fallback a failed inference sentences the cell to.
-    pub fallback_probation_txops: u64,
-}
-
-/// Blue-print a topology from the snapshot's accumulated statistics.
-///
-/// Ungated (`gate: None`), the stage runs the backend directly on the
-/// measured constraint system and installs the result as the
-/// blueprint — the vanilla orchestrator's unconditional path. Gated,
-/// it runs under the full resilience guards (scripted poisoning +
-/// quarantine, stall repetition, panic containment, breaker
-/// bookkeeping) and routes the verdict into
-/// Confident/Fallback exactly as the robust loop always has. Both
-/// arms solve through [`InferenceBackend::solve`] on the cell arena's
-/// scratch, consulting the context's fleet cache when one is attached.
-///
-/// [`InferenceBackend::solve`]: crate::blueprint::InferenceBackend::solve
-#[derive(Debug, Clone, Copy)]
-pub struct InferStage {
-    /// `Some` enables verdict gating + the resilience guards.
-    pub gate: Option<InferGate>,
-}
-
-impl InferStage {
-    /// Run inference under the resilience guards: scripted poisoning
-    /// is injected and quarantined, scripted stalls repeat the solve,
-    /// and a panic (scripted or genuine) is contained at this
-    /// boundary.
-    fn guarded_blueprint(
-        &self,
-        ctx: &mut CellContext<'_, '_>,
-    ) -> Result<(InferenceResult, Vec<FleetCacheEvent>), BluError> {
-        let rt = ctx
-            .script
-            .map(|s| s.runtime_state_at(ctx.snap.cursor))
-            .unwrap_or_default();
-        let mut sys = ConstraintSystem::from_measurements(ctx.snap.est.stats());
-        if rt.poison_rate > 0.0 {
-            for t in sys.individual.iter_mut().chain(sys.pair.iter_mut()) {
-                if ctx.snap.poison_rng.chance(rt.poison_rate) {
-                    *t = f64::NAN;
-                }
-            }
-            for tr in sys.triples.iter_mut() {
-                if ctx.snap.poison_rng.chance(rt.poison_rate) {
-                    tr.target = f64::NAN;
-                }
-            }
-        }
-        ctx.snap.quarantined_constraints += sys.sanitize() as u64;
-
-        let reps = rt.stall_factor.max(1);
-        let inject_panic = rt.panic;
-        let backend = ctx.backend;
-        let icfg = ctx.inference;
-        let cache = ctx.fleet_cache;
-        let t0 = std::time::Instant::now();
-        let outcome = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
-            catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected inference panic");
-                }
-                // The signature is recomputed at every solve from the
-                // sanitized system actually being solved — never
-                // captured once and reused — so a lookup after
-                // churn-mutated statistics can only key on the
-                // post-churn books. (Poisoned-then-quarantined cells
-                // likewise key on what the solver saw.)
-                let mut events = Vec::new();
-                let (mut result, event) = backend.solve(&sys, icfg, scratch, cache);
-                events.extend(event);
-                // A scripted stall models a slow solver by repeating
-                // the (deterministic) solve; the last result is
-                // returned. Under the cache the repeats are hits on
-                // the entry the first solve just published — same
-                // result, no extra work.
-                for _ in 1..reps {
-                    let (again, event) = backend.solve(&sys, icfg, scratch, cache);
-                    result = again;
-                    events.extend(event);
-                }
-                (result, events)
-            }))
-            .map_err(|p| BluError::Panicked(panic_message(p.as_ref())))
-        });
-        ctx.snap.inference_micros += t0.elapsed().as_micros() as u64;
-        outcome
-    }
-}
-
-impl Stage for InferStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Infer
-    }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        let Some(gate) = self.gate else {
-            // Unconditional path: the measured constraint system goes
-            // straight to the backend and the result is the blueprint.
-            let sys = ConstraintSystem::from_measurements(ctx.snap.est.stats());
-            let (backend, icfg, cache) = (ctx.backend, ctx.inference, ctx.fleet_cache);
-            let (result, event) = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
-                backend.solve(&sys, icfg, scratch, cache)
-            });
-            if let Some(event) = event {
+/// Blue-print a topology from the snapshot's statistics under the
+/// resilience guards, and route the verdict: a blueprint that is not
+/// degraded and clears `config.confidence_floor` is installed and the
+/// cell enters Confident; anything else (a contained panic included)
+/// earns `config.fallback_probation_txops` of PF Fallback and a
+/// breaker failure.
+pub(crate) fn infer(
+    capture: &FaultyCapture,
+    config: &RobustConfig,
+    snap: &mut CellSnapshot,
+    arena: &mut EngineArena,
+    observer: &mut dyn SubframeObserver,
+) {
+    observer.on_stage(StageKind::Infer);
+    let usable = match guarded_solve(&capture.script, config, snap, &mut arena.infer) {
+        Ok((result, cache_events)) => {
+            for event in cache_events {
                 observer.on_fleet_cache(event);
             }
+            if !result.completed {
+                snap.deadline_misses += 1;
+            }
             observer.on_infer(result.verdict, result.completed);
-            ctx.snap.blueprint = Some(result);
-            return Ok(StageFlow::Continue);
-        };
-        let usable = match self.guarded_blueprint(ctx) {
-            Ok((result, cache_events)) => {
-                for event in cache_events {
-                    observer.on_fleet_cache(event);
-                }
-                if !result.completed {
-                    ctx.snap.deadline_misses += 1;
-                }
-                observer.on_infer(result.verdict, result.completed);
-                ctx.snap.verdicts.push(result.verdict);
-                (result.verdict != InferenceVerdict::Degraded
-                    && result.confidence() >= gate.confidence_floor)
-                    .then_some(result)
-            }
-            Err(e) => {
-                if matches!(e, BluError::Panicked(_)) {
-                    ctx.snap.inference_panics += 1;
-                }
-                observer.on_infer(InferenceVerdict::Degraded, false);
-                ctx.snap.verdicts.push(InferenceVerdict::Degraded);
-                None
-            }
-        };
-        if usable.is_some() {
-            ctx.snap.breaker.record_success(ctx.snap.cursor);
-            ctx.snap.drift.reset();
-            ctx.snap.enter(OrchestratorState::Confident);
-        } else {
-            ctx.snap.breaker.record_failure(ctx.snap.cursor);
-            ctx.snap.probation_left = gate.fallback_probation_txops;
-            ctx.snap.enter(OrchestratorState::Fallback);
+            snap.verdicts.push(result.verdict);
+            (result.verdict != InferenceVerdict::Degraded
+                && result.confidence() >= config.confidence_floor)
+                .then_some(result)
         }
-        ctx.snap.blueprint = usable;
-        observer.on_state_change(ctx.snap.cursor, ctx.snap.state);
-        Ok(StageFlow::Continue)
+        Err(e) => {
+            if matches!(e, BluError::Panicked(_)) {
+                snap.inference_panics += 1;
+            }
+            observer.on_infer(InferenceVerdict::Degraded, false);
+            snap.verdicts.push(InferenceVerdict::Degraded);
+            None
+        }
+    };
+    if usable.is_some() {
+        snap.breaker.record_success(snap.cursor);
+        snap.drift.reset();
+        snap.enter(OrchestratorState::Confident);
+    } else {
+        snap.breaker.record_failure(snap.cursor);
+        snap.probation_left = config.fallback_probation_txops;
+        snap.enter(OrchestratorState::Fallback);
     }
+    snap.blueprint = usable;
+    observer.on_state_change(snap.cursor, snap.state);
+}
+
+/// One solve under the resilience guards: scripted poisoning is
+/// injected and quarantined, scripted stalls repeat the solve, and a
+/// panic (scripted or genuine) is contained at this boundary. Solves
+/// through [`InferenceBackend::solve`] on the cell arena's scratch,
+/// consulting the config's fleet cache when one is attached.
+fn guarded_solve(
+    script: &FaultScript,
+    config: &RobustConfig,
+    snap: &mut CellSnapshot,
+    scratch: &mut InferScratch,
+) -> Result<(InferenceResult, Vec<FleetCacheEvent>), BluError> {
+    let rt = script.runtime_state_at(snap.cursor);
+    let mut sys = ConstraintSystem::from_measurements(snap.est.stats());
+    if rt.poison_rate > 0.0 {
+        for t in sys.individual.iter_mut().chain(sys.pair.iter_mut()) {
+            if snap.poison_rng.chance(rt.poison_rate) {
+                *t = f64::NAN;
+            }
+        }
+        for tr in sys.triples.iter_mut() {
+            if snap.poison_rng.chance(rt.poison_rate) {
+                tr.target = f64::NAN;
+            }
+        }
+    }
+    snap.quarantined_constraints += sys.sanitize() as u64;
+
+    let reps = rt.stall_factor.max(1);
+    let (backend, icfg) = (&config.backend, &config.blu.inference);
+    let cache = config.fleet_cache.as_deref();
+    let t0 = std::time::Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if rt.panic {
+            panic!("injected inference panic");
+        }
+        // The signature is recomputed at every solve from the
+        // sanitized system actually being solved — never captured
+        // once and reused — so a lookup after churn-mutated statistics
+        // can only key on the post-churn books. (Poisoned-then-
+        // quarantined cells likewise key on what the solver saw.)
+        let mut events = Vec::new();
+        let (mut result, event) = backend.solve(&sys, icfg, scratch, cache);
+        events.extend(event);
+        // A scripted stall models a slow solver by repeating the
+        // (deterministic) solve; the last result is returned. Under
+        // the cache the repeats are hits on the entry the first solve
+        // just published — same result, no extra work.
+        for _ in 1..reps {
+            let (again, event) = backend.solve(&sys, icfg, scratch, cache);
+            result = again;
+            events.extend(event);
+        }
+        (result, events)
+    }))
+    .map_err(|p| BluError::Panicked(panic_message(p.as_ref())));
+    snap.inference_micros += t0.elapsed().as_micros() as u64;
+    outcome
 }
 
 /// Incremental streaming inference: fold the sliding observation
 /// window's counters into a warm-started repair of the blueprint in
-/// force, between transmit segments, under a bounded step deadline.
+/// force, under a `deadline_steps` solver budget.
 ///
-/// This is the streaming half of the split [`InferStage`]: where the
-/// full stage re-measures and solves from scratch (§3.7), this stage
-/// reads only the snapshot's [`StreamState`] window — whose counters
-/// drift with ground truth as observations age out — and runs a
-/// single budgeted repair seeded from the current blueprint. A
-/// refined blueprint that passes the confidence gate replaces the one
-/// in force and resets the drift monitor; one that fails the gate is
-/// discarded and the cell keeps serving the old blueprint, leaving
-/// the drift monitor armed as the full-re-measurement fallback. The
-/// stage never consults the fleet cache (warm starts are cell-local)
-/// and never moves the state machine — streaming refines happen
-/// *inside* Confident.
-///
-/// [`StreamState`]: crate::engine::context::StreamState
-#[derive(Debug, Clone, Copy)]
-pub struct StreamInferStage {
-    /// Confidence floor a refined blueprint must clear to install
-    /// (same semantics as [`InferGate::confidence_floor`]).
-    pub confidence_floor: f64,
-    /// Step budget for the incremental repair (the PR 4 anytime
-    /// deadline, in solver steps).
-    pub refine_deadline_steps: u64,
-}
-
-impl Stage for StreamInferStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Infer
-    }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        let Some(stream) = ctx.snap.stream.as_ref() else {
-            return Err(BluError::StageInvariant(
-                "streaming infer requires stream state in the snapshot".into(),
-            ));
-        };
-        if stream.window.is_empty() {
-            return Ok(StageFlow::Continue);
+/// Where [`infer`] re-solves from the re-measured statistics (§3.7),
+/// this reads only the snapshot's
+/// [`StreamState`](crate::engine::StreamState) window, whose counters
+/// drift with ground truth as observations age out. A refined
+/// blueprint that clears `config.confidence_floor` replaces the one in
+/// force and resets the drift monitor; one that does not is discarded
+/// and the drift monitor stays armed as the full-re-measurement
+/// fallback. A refine never consults the fleet cache (warm starts are
+/// cell-local) and never moves the state machine: streaming refines
+/// happen *inside* Confident. Without a window, or with an empty one,
+/// there is nothing to refine.
+pub(crate) fn refine(
+    config: &RobustConfig,
+    deadline_steps: u64,
+    snap: &mut CellSnapshot,
+    arena: &mut EngineArena,
+    observer: &mut dyn SubframeObserver,
+) {
+    observer.on_stage(StageKind::Infer);
+    let window = match &snap.stream {
+        Some(stream) if !stream.window.is_empty() => &stream.window,
+        _ => return,
+    };
+    let mut sys = ConstraintSystem::from_measurements(window.stats());
+    snap.quarantined_constraints += sys.sanitize() as u64;
+    let start = match &snap.blueprint {
+        Some(result) => TransformedTopology::from_topology(&result.topology),
+        None => Default::default(),
+    };
+    let cfg = InferenceConfig {
+        deadline: Deadline::Steps(deadline_steps.max(1)),
+        ..config.blu.inference
+    };
+    let t0 = std::time::Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        stream_refine(&sys, &cfg, start, &config.backend, &mut arena.infer)
+    }));
+    snap.inference_micros += t0.elapsed().as_micros() as u64;
+    let stream = snap.stream.as_mut().expect("checked above");
+    stream.refines += 1;
+    match outcome {
+        Ok(result) => {
+            if !result.completed {
+                snap.deadline_misses += 1;
+            }
+            observer.on_infer(result.verdict, result.completed);
+            snap.verdicts.push(result.verdict);
+            let installed = result.verdict != InferenceVerdict::Degraded
+                && result.confidence() >= config.confidence_floor;
+            if installed {
+                stream.refines_installed += 1;
+                snap.blueprint = Some(result);
+                snap.drift.reset();
+            }
+            observer.on_stream(StreamEvent::Refine { installed });
         }
-        let mut sys = ConstraintSystem::from_measurements(stream.window.stats());
-        ctx.snap.quarantined_constraints += sys.sanitize() as u64;
-        let start = match &ctx.snap.blueprint {
-            Some(result) => {
-                crate::blueprint::constraints::TransformedTopology::from_topology(&result.topology)
-            }
-            None => Default::default(),
-        };
-        let cfg = crate::blueprint::InferenceConfig {
-            deadline: crate::runtime::deadline::Deadline::Steps(self.refine_deadline_steps.max(1)),
-            ..*ctx.inference
-        };
-        let backend = ctx.backend;
-        let t0 = std::time::Instant::now();
-        let outcome = with_infer_scratch(ctx.arena.as_deref_mut(), |scratch| {
-            catch_unwind(AssertUnwindSafe(|| {
-                stream_refine(&sys, &cfg, start, backend, scratch)
-            }))
-        });
-        ctx.snap.inference_micros += t0.elapsed().as_micros() as u64;
-        let stream = ctx.snap.stream.as_mut().expect("checked above");
-        stream.refines += 1;
-        match outcome {
-            Ok(result) => {
-                if !result.completed {
-                    ctx.snap.deadline_misses += 1;
-                }
-                observer.on_infer(result.verdict, result.completed);
-                ctx.snap.verdicts.push(result.verdict);
-                let installed = result.verdict != InferenceVerdict::Degraded
-                    && result.confidence() >= self.confidence_floor;
-                if installed {
-                    stream.refines_installed += 1;
-                    ctx.snap.blueprint = Some(result);
-                    ctx.snap.drift.reset();
-                }
-                observer.on_stream(StreamEvent::Refine { installed });
-            }
-            Err(_) => {
-                // A refine panic is contained at this boundary: the
-                // cell keeps serving the blueprint in force and the
-                // drift monitor stays armed.
-                ctx.snap.inference_panics += 1;
-                observer.on_infer(InferenceVerdict::Degraded, false);
-                observer.on_stream(StreamEvent::Refine { installed: false });
-            }
+        Err(_) => {
+            // A refine panic is contained at this boundary: the cell
+            // keeps serving the blueprint in force and the drift
+            // monitor stays armed.
+            snap.inference_panics += 1;
+            observer.on_infer(InferenceVerdict::Degraded, false);
+            observer.on_stream(StreamEvent::Refine { installed: false });
         }
-        Ok(StageFlow::Continue)
     }
 }
 
@@ -491,10 +300,10 @@ impl Stage for StreamInferStage {
 /// time only — streaming never spends measurement sub-frames.
 fn stream_refine(
     sys: &ConstraintSystem,
-    cfg: &crate::blueprint::InferenceConfig,
-    start: crate::blueprint::constraints::TransformedTopology,
-    backend: &crate::blueprint::InferenceBackend,
-    scratch: &mut crate::blueprint::InferScratch,
+    cfg: &InferenceConfig,
+    start: TransformedTopology,
+    backend: &InferenceBackend,
+    scratch: &mut InferScratch,
 ) -> InferenceResult {
     let mut result = crate::blueprint::infer::refine_topology_with(sys, cfg, start, scratch);
     if result.verdict != InferenceVerdict::Converged {
@@ -506,108 +315,79 @@ fn stream_refine(
     result
 }
 
-/// Decide the scheduler from the blueprint in force: a blueprint
-/// earns speculation, its absence earns plain PF.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GenerateStage;
-
-impl Stage for GenerateStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Generate
+/// Drive one windowed segment of the [`CellEngine`] from the snapshot
+/// cursor: `config.check_interval_txops` TxOPs clipped to the
+/// remaining trace, speculating on the blueprint in force when
+/// `speculate` is set and one exists, plain PF otherwise. Every
+/// decoded sub-frame passes the [`DriftTap`]; PF state is carried
+/// across segments and the metrics merge into the snapshot. Returns
+/// the TxOPs run, or `None` (and `done`) once the trace has no room
+/// for one.
+pub(crate) fn transmit(
+    capture: &FaultyCapture,
+    config: &RobustConfig,
+    geom: &CellGeometry,
+    snap: &mut CellSnapshot,
+    arena: &mut EngineArena,
+    speculate: bool,
+    observer: &mut dyn SubframeObserver,
+) -> Result<Option<u64>, BluError> {
+    observer.on_stage(StageKind::Generate);
+    observer.on_stage(StageKind::Schedule);
+    let room = (geom.trace_len - snap.cursor) / geom.per_txop;
+    let txops = config.check_interval_txops.min(room);
+    if txops == 0 {
+        snap.done = true;
+        return Ok(None);
     }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        _observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        ctx.spec = if ctx.snap.blueprint.is_some() {
-            SchedulerSpec::Speculative
-        } else {
-            SchedulerSpec::Pf
-        };
-        Ok(StageFlow::Continue)
+    observer.on_stage(StageKind::Transmit);
+    let mut engine =
+        CellEngine::with_config(&capture.trace, &config.blu.emulation)?.segment(txops, snap.cursor);
+    engine.adopt_arena(arena);
+    if let Some(avg) = &snap.pf_avg {
+        engine.seed_pf_averages(avg);
     }
-}
-
-/// How [`ScheduleStage`] windows the transmit segment.
-#[derive(Debug, Clone, Copy)]
-pub enum SchedulePolicy {
-    /// One segment spanning the configured run
-    /// (`emulation.n_txops` TxOPs from `emulation.start_subframe`) —
-    /// the vanilla orchestrator's speculative phase.
-    FullRun,
-    /// Bounded segments from the snapshot cursor, clipped to the
-    /// remaining trace; an empty window ends the run.
-    Windowed {
-        /// Segment length between drift checks.
-        check_interval_txops: u64,
-    },
-}
-
-/// Pick the transmit segment's window within the trace.
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduleStage {
-    /// Windowing policy.
-    pub policy: SchedulePolicy,
-}
-
-impl Stage for ScheduleStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Schedule
+    // Split borrows: the scheduler reads the blueprint while the tap
+    // mutates estimator/channel/drift — disjoint snapshot fields.
+    let CellSnapshot {
+        ref mut est,
+        ref mut chan,
+        ref mut drift,
+        ref blueprint,
+        ref mut stream,
+        ..
+    } = *snap;
+    let mut tap = DriftTap {
+        trace: &capture.trace,
+        script: &capture.script,
+        chan,
+        est,
+        drift,
+        blueprint: blueprint.as_ref(),
+        window: stream.as_mut().map(|s| &mut s.window),
+        n: geom.n,
+        inner: observer,
+    };
+    let speculated = blueprint.as_ref().filter(|_| speculate);
+    let report = match speculated {
+        Some(result) => {
+            let access = TopologyAccess::new(&result.topology);
+            let mut sched = SpeculativeScheduler::new(&access);
+            engine.run_segment(&mut sched, None, AccessMode::BackToBack, &mut tap)
+        }
+        None => engine.run_segment(&mut PfScheduler, None, AccessMode::BackToBack, &mut tap),
+    };
+    let speculated = speculated.is_some();
+    engine.yield_arena(arena);
+    snap.pf_avg = Some(engine.pf_averages().to_vec());
+    snap.metrics.merge(&report.metrics);
+    snap.cursor += txops * geom.per_txop;
+    if speculated {
+        snap.speculative_txops += txops;
+    } else {
+        snap.fallback_txops += txops;
     }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        _observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        ctx.segment = match self.policy {
-            SchedulePolicy::FullRun => Some(SegmentPlan {
-                txops: ctx.emulation.n_txops,
-                start_subframe: ctx.emulation.start_subframe,
-            }),
-            SchedulePolicy::Windowed {
-                check_interval_txops,
-            } => {
-                let room = (ctx.geom.trace_len - ctx.snap.cursor) / ctx.geom.per_txop;
-                let txops = check_interval_txops.min(room);
-                if txops == 0 {
-                    ctx.snap.done = true;
-                    return Ok(StageFlow::Halt);
-                }
-                Some(SegmentPlan {
-                    txops,
-                    start_subframe: ctx.snap.cursor,
-                })
-            }
-        };
-        Ok(StageFlow::Continue)
-    }
-}
-
-/// What [`TransmitStage`] feeds per decoded sub-frame.
-#[derive(Debug, Clone, Copy)]
-pub enum TransmitFeed {
-    /// Nothing — the segment report is the only output.
-    None,
-    /// Feed the snapshot's estimator directly with every sub-frame's
-    /// pilot-classified observations (the vanilla orchestrator's warm
-    /// phase-2 estimator, §3.7).
-    Estimator,
-    /// Feed estimator **and** drift monitor through the scripted
-    /// observation-fault channel (the robust loop's per-subframe
-    /// tap).
-    FaultTap,
-}
-
-/// Drive the [`CellEngine`] over the planned segment with the chosen
-/// scheduler, carrying PF state across segments and merging metrics
-/// into the snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct TransmitStage {
-    /// Per-subframe feeding mode.
-    pub feed: TransmitFeed,
+    Ok(Some(txops))
 }
 
 /// The robust loop's per-subframe fault tap, implemented as an
@@ -622,7 +402,7 @@ struct DriftTap<'x> {
     script: &'x FaultScript,
     chan: &'x mut ObservationChannel,
     est: &'x mut OutcomeEstimator,
-    drift: &'x mut crate::engine::context::DriftMonitor,
+    drift: &'x mut DriftMonitor,
     blueprint: Option<&'x InferenceResult>,
     /// Streaming ingest: when the run carries stream state, every
     /// surviving observation is also admitted into the sliding
@@ -666,7 +446,7 @@ impl SubframeObserver for DriftTap<'_> {
         self.inner.on_infer(verdict, completed);
     }
 
-    fn on_fleet_cache(&mut self, event: crate::blueprint::fleetcache::FleetCacheEvent) {
+    fn on_fleet_cache(&mut self, event: FleetCacheEvent) {
         self.inner.on_fleet_cache(event);
     }
 
@@ -679,120 +459,20 @@ impl SubframeObserver for DriftTap<'_> {
     }
 }
 
-impl Stage for TransmitStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Transmit
-    }
-
-    fn run(
-        &mut self,
-        ctx: &mut CellContext<'_, '_>,
-        observer: &mut dyn SubframeObserver,
-    ) -> Result<StageFlow, BluError> {
-        let plan = ctx.segment.ok_or_else(|| {
-            BluError::StageInvariant("schedule stage must plan a segment before transmit".into())
-        })?;
-        if ctx.spec == SchedulerSpec::Speculative && ctx.snap.blueprint.is_none() {
-            return Err(BluError::StageInvariant(
-                "speculative transmit requires a blueprint in force".into(),
-            ));
-        }
-        let mut engine = CellEngine::with_config(ctx.trace, ctx.emulation)?
-            .segment(plan.txops, plan.start_subframe);
-        if let Some(arena) = ctx.arena.as_mut() {
-            engine.adopt_arena(arena);
-        }
-        if let Some(avg) = &ctx.snap.pf_avg {
-            engine.seed_pf_averages(avg);
-        }
-        let spec = ctx.spec;
-        let report = {
-            // Split borrows: the scheduler reads the blueprint while
-            // the feed mutates estimator/channel/drift — disjoint
-            // snapshot fields.
-            let CellSnapshot {
-                ref mut est,
-                ref mut chan,
-                ref mut drift,
-                ref blueprint,
-                ref mut stream,
-                ..
-            } = *ctx.snap;
-            let run = |engine: &mut CellEngine<'_>,
-                       estimator: Option<&mut OutcomeEstimator>,
-                       observer: &mut dyn SubframeObserver| {
-                match spec {
-                    SchedulerSpec::Speculative => {
-                        // Checked above: Speculative implies a blueprint.
-                        let result = blueprint.as_ref().expect("checked before engine build");
-                        let access = TopologyAccess::new(&result.topology);
-                        let mut sched = SpeculativeScheduler::new(&access);
-                        engine.run_segment(&mut sched, estimator, AccessMode::BackToBack, observer)
-                    }
-                    SchedulerSpec::Pf => engine.run_segment(
-                        &mut PfScheduler,
-                        estimator,
-                        AccessMode::BackToBack,
-                        observer,
-                    ),
-                }
-            };
-            match self.feed {
-                TransmitFeed::None => run(&mut engine, None, observer),
-                TransmitFeed::Estimator => run(&mut engine, Some(est), observer),
-                TransmitFeed::FaultTap => {
-                    let script = ctx.script.ok_or_else(|| {
-                        BluError::StageInvariant(
-                            "fault-tap transmit requires a fault script".into(),
-                        )
-                    })?;
-                    let mut tap = DriftTap {
-                        trace: ctx.trace,
-                        script,
-                        chan,
-                        est,
-                        drift,
-                        blueprint: blueprint.as_ref(),
-                        window: stream.as_mut().map(|s| &mut s.window),
-                        n: ctx.geom.n,
-                        inner: observer,
-                    };
-                    run(&mut engine, None, &mut tap)
-                }
-            }
-        };
-        if let Some(arena) = ctx.arena.as_mut() {
-            engine.yield_arena(arena);
-        }
-        ctx.snap.pf_avg = Some(engine.pf_averages().to_vec());
-        ctx.snap.metrics.merge(&report.metrics);
-        ctx.snap.cursor += plan.txops * ctx.geom.per_txop;
-        match spec {
-            SchedulerSpec::Speculative => ctx.snap.speculative_txops += plan.txops,
-            SchedulerSpec::Pf => ctx.snap.fallback_txops += plan.txops,
-        }
-        ctx.last_report = Some(report);
-        Ok(StageFlow::Continue)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blueprint::InferenceConfig;
-    use crate::emulator::EmulationConfig;
-    use crate::engine::CellSnapshot;
-    use crate::runtime::breaker::BreakerConfig;
-    use blu_phy::cell::CellConfig;
-    use blu_sim::time::Micros;
-    use blu_traces::capture::{capture_synthetic, CaptureConfig};
-    use blu_traces::schema::TestbedTrace;
+
+    #[test]
+    fn stage_kinds_order_matches_pipeline() {
+        assert!(StageKind::Measure < StageKind::Infer);
+        assert!(StageKind::Infer < StageKind::Generate);
+        assert!(StageKind::Generate < StageKind::Schedule);
+        assert!(StageKind::Schedule < StageKind::Transmit);
+    }
 
     #[test]
     fn stream_refine_is_bit_identical_with_a_reused_scratch() {
-        use crate::blueprint::constraints::TransformedTopology;
-        use crate::blueprint::{InferScratch, InferenceBackend};
-        use crate::runtime::deadline::Deadline;
         use blu_sim::topology::{HiddenTerminal, InterferenceTopology};
         let topo = |n: usize, spec: &[(f64, &[usize])]| InterferenceTopology {
             n_clients: n,
@@ -841,95 +521,5 @@ mod tests {
             }
         }
         assert!(fallbacks > 0, "no refine fell back to the portfolio");
-    }
-
-    #[test]
-    fn stage_kinds_order_matches_pipeline() {
-        assert!(StageKind::Measure < StageKind::Infer);
-        assert!(StageKind::Infer < StageKind::Generate);
-        assert!(StageKind::Generate < StageKind::Schedule);
-        assert!(StageKind::Schedule < StageKind::Transmit);
-    }
-
-    fn quick_trace() -> TestbedTrace {
-        capture_synthetic(
-            &CaptureConfig {
-                duration: Micros::from_secs(10),
-                ..CaptureConfig::testbed_default()
-            },
-            11,
-        )
-    }
-
-    fn quick_ctx<'t, 's>(
-        trace: &'t TestbedTrace,
-        emulation: &'t EmulationConfig,
-        inference: &'t InferenceConfig,
-        backend: &'t crate::blueprint::InferenceBackend,
-        snap: &'s mut CellSnapshot,
-    ) -> CellContext<'t, 's> {
-        CellContext::new(trace, None, emulation, inference, backend, snap)
-    }
-
-    #[test]
-    fn out_of_order_composition_is_a_typed_error() {
-        let trace = quick_trace();
-        let emulation = EmulationConfig::new(CellConfig::testbed_siso());
-        let inference = InferenceConfig::default();
-        let backend = crate::blueprint::InferenceBackend::default();
-        let mut snap = CellSnapshot::fresh(
-            trace.ground_truth.n_clients,
-            trace.access.len() as u64,
-            0,
-            0.0,
-            BreakerConfig::default(),
-        );
-        let mut ctx = quick_ctx(&trace, &emulation, &inference, &backend, &mut snap);
-        // Generate before Measure is out of order; the pipeline must
-        // reject it as a value, not an abort.
-        let mut generate = GenerateStage;
-        let mut measure = MeasureStage {
-            t_samples: 5,
-            fidelity: MeasureFidelity::Strict { what: "test" },
-        };
-        let err = run_pipeline(
-            &mut ctx,
-            &mut [&mut generate, &mut measure],
-            &mut crate::engine::NullObserver,
-        )
-        .expect_err("out-of-order composition must fail");
-        assert!(
-            matches!(&err, BluError::StageInvariant(msg) if msg.contains("out of order")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn transmit_without_planned_segment_is_a_typed_error() {
-        let trace = quick_trace();
-        let emulation = EmulationConfig::new(CellConfig::testbed_siso());
-        let inference = InferenceConfig::default();
-        let backend = crate::blueprint::InferenceBackend::default();
-        let mut snap = CellSnapshot::fresh(
-            trace.ground_truth.n_clients,
-            trace.access.len() as u64,
-            0,
-            0.0,
-            BreakerConfig::default(),
-        );
-        let mut ctx = quick_ctx(&trace, &emulation, &inference, &backend, &mut snap);
-        let mut transmit = TransmitStage {
-            feed: TransmitFeed::None,
-        };
-        let err = run_pipeline(
-            &mut ctx,
-            &mut [&mut transmit],
-            &mut crate::engine::NullObserver,
-        )
-        .expect_err("transmit with no planned segment must fail");
-        assert!(
-            matches!(&err, BluError::StageInvariant(msg) if msg.contains("segment")),
-            "{err:?}"
-        );
     }
 }

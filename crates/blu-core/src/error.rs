@@ -58,15 +58,6 @@ pub enum BluError {
     /// [`PANIC_MESSAGE_MAX_LEN`](crate::runtime::PANIC_MESSAGE_MAX_LEN)
     /// bytes (see [`panic_message`](crate::runtime::panic_message)).
     Panicked(String),
-    /// A stage pipeline was composed or driven in a way that violates
-    /// its structural contract (out-of-order stages, transmit without
-    /// a planned segment, speculation without a blueprint, a
-    /// fault-channel stage without a script). These used to be
-    /// `expect`s inside the stages; as typed errors they surface
-    /// through [`run_pipeline`](crate::engine::run_pipeline) and let
-    /// a fleet keep its healthy cells when one cell's composition is
-    /// wrong.
-    StageInvariant(String),
     /// A checkpoint could not be written or read (I/O or corrupt
     /// serialization).
     Checkpoint(String),
@@ -109,9 +100,6 @@ impl fmt::Display for BluError {
             BluError::Overflow { what } => write!(f, "arithmetic overflow computing {what}"),
             BluError::Panicked(payload) => {
                 write!(f, "inference worker panicked (contained): {payload}")
-            }
-            BluError::StageInvariant(msg) => {
-                write!(f, "stage pipeline invariant violated: {msg}")
             }
             BluError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             BluError::CheckpointVersion { found, expected } => write!(

@@ -11,7 +11,7 @@
 //! immutable shared slices (`Arc<[f64]>`) and handed out by refcount
 //! bump, and the cache is **bounded** with deterministic LRU
 //! eviction. The recency/eviction machinery itself lives in the
-//! shared [`LruCore`](crate::runtime::lru::LruCore) (the fleet
+//! shared [`LruCore`] (the fleet
 //! blueprint cache runs on the same core); this wrapper contributes
 //! the `Arc<[f64]>` value type and the interior `Mutex` (instead of
 //! `RefCell`) that lets providers be `Send + Sync` and shared across

@@ -25,8 +25,8 @@
 //!   distribution. SISO and MU-MIMO.
 //!
 //! [`engine`] owns the one per-subframe loop (CCA, pilots, ZF
-//! decoding, PF averaging) and the staged measure → infer → generate
-//! → schedule → transmit pipeline every orchestration layer composes:
+//! decoding, PF averaging) and the robust loop's measure, infer,
+//! refine and transmit steps as plain functions:
 //! [`emulator`] replays captured traces through a scheduler,
 //! [`orchestrator`] runs the full two-phase BLU loop of Fig. 9
 //! (measure → blue-print → speculate), and [`robust`] runs the

@@ -8,11 +8,13 @@
 //! statistics, and phase 2 runs the speculative scheduler against the
 //! inferred blue-print for `L >> t_max` sub-frames. Outcomes observed
 //! during phase 2 keep feeding the estimator, which is why subsequent
-//! measurement phases are shorter than the first (§3.7).
+//! measurement phases are shorter than the first (§3.7); the loop
+//! that re-measures is [`crate::robust`].
 //!
-//! [`run_blu`] is a single composition of the engine's five stages —
-//! measure → infer → generate → schedule → transmit — over one fresh
-//! [`CellSnapshot`]: the two-phase loop *is* the pipeline, run once.
+//! [`run_blu`] is one pass of that loop as three direct calls:
+//! [`run_measurement_phase`], [`blueprint_from_measurements_with`] on
+//! a fresh scratch, and one speculative [`CellEngine`] segment. With
+//! no later phase to warm, it feeds phase-2 outcomes to no estimator.
 
 use crate::blueprint::accuracy::{topology_accuracy, AccuracyReport};
 use crate::blueprint::{
@@ -20,14 +22,10 @@ use crate::blueprint::{
 };
 use crate::emulator::{EmulationConfig, EmulationReport};
 use crate::engine::stages::run_measure_plan;
-use crate::engine::{
-    AccessMode, CellContext, CellEngine, CellSnapshot, GenerateStage, InferStage, MeasureFidelity,
-    MeasureStage, NullObserver, SchedulePolicy, ScheduleStage, TransmitFeed, TransmitStage,
-};
+use crate::engine::{AccessMode, CellEngine, NullObserver};
 use crate::error::BluError;
 use crate::joint::TopologyAccess;
 use crate::measure::{measurement_schedule, OutcomeEstimator};
-use crate::runtime::breaker::BreakerConfig;
 use crate::sched::SpeculativeScheduler;
 use blu_traces::schema::TestbedTrace;
 
@@ -150,69 +148,25 @@ pub fn blueprint_from_measurements_with(
     backend.solve(&sys, config, scratch, None).0
 }
 
-/// Run the complete two-phase loop on a trace: one pass of the
-/// engine's full five-stage pipeline over a fresh snapshot.
+/// Run the complete two-phase loop on a trace: the measurement phase,
+/// one solve over its statistics, and one speculative segment over
+/// the configured run (`emulation.n_txops` TxOPs from
+/// `emulation.start_subframe`).
 pub fn run_blu(trace: &TestbedTrace, config: &BluConfig) -> Result<BluRunReport, BluError> {
     let n = trace.ground_truth.n_clients;
     let k = config.emulation.cell.max_ues_per_subframe;
-    let backend = InferenceBackend::default();
-    // The vanilla loop has no fault script, drift gate or breaker —
-    // the snapshot is just the pipeline's working state.
-    let mut snap = CellSnapshot::fresh(
-        n,
-        trace.access.len() as u64,
-        0,
-        0.0,
-        BreakerConfig::default(),
-    );
-    let mut ctx = CellContext::new(
-        trace,
-        None,
-        &config.emulation,
+    let (est, t_max) = run_measurement_phase(trace, k, config.t_samples)?;
+    let inference = blueprint_from_measurements_with(
+        &est,
         &config.inference,
-        &backend,
-        &mut snap,
+        &InferenceBackend::default(),
+        &mut InferScratch::default(),
     );
-    let mut measure = MeasureStage {
-        t_samples: config.t_samples,
-        fidelity: MeasureFidelity::Strict {
-            what: "measurement phase",
-        },
-    };
-    let mut infer = InferStage { gate: None };
-    let mut generate = GenerateStage;
-    let mut schedule = ScheduleStage {
-        policy: SchedulePolicy::FullRun,
-    };
-    // Phase-2 outcomes keep feeding the estimator (future phases
-    // start warm, §3.7).
-    let mut transmit = TransmitStage {
-        feed: TransmitFeed::Estimator,
-    };
-    crate::engine::run_pipeline(
-        &mut ctx,
-        &mut [
-            &mut measure,
-            &mut infer,
-            &mut generate,
-            &mut schedule,
-            &mut transmit,
-        ],
-        &mut NullObserver,
-    )?;
-    let speculative = ctx
-        .last_report
-        .take()
-        .expect("a full-run pipeline always transmits");
-    drop(ctx);
-    let inference = snap
-        .blueprint
-        .take()
-        .expect("ungated inference always installs a blueprint");
+    let speculative = speculate(trace, config, &inference)?;
     let accuracy = topology_accuracy(&trace.ground_truth, &inference.topology);
     let floor = crate::measure::min_subframes(n, k.min(n), config.t_samples)?;
     Ok(BluRunReport {
-        measurement_subframes: snap.measurement_subframes,
+        measurement_subframes: t_max,
         measurement_floor: floor,
         inference,
         accuracy,
@@ -220,21 +174,29 @@ pub fn run_blu(trace: &TestbedTrace, config: &BluConfig) -> Result<BluRunReport,
     })
 }
 
-/// §3.7 "Tracking Dynamics": run the two-phase loop over a sequence
-/// of environment *epochs* (each a trace with its own topology —
-/// clients and interferers move at the tens-of-seconds scale). Each
-/// epoch re-measures and re-blue-prints before its speculative phase,
-/// which is how BLU stays inside the stationary regime.
-pub fn run_blu_adaptive(
-    epochs: &[&TestbedTrace],
+/// The speculative phase: one [`CellEngine`] segment over the
+/// configured run, scheduling with the speculative scheduler against
+/// `inference`'s blue-print.
+fn speculate(
+    trace: &TestbedTrace,
     config: &BluConfig,
-) -> Result<Vec<BluRunReport>, BluError> {
-    epochs.iter().map(|t| run_blu(t, config)).collect()
+    inference: &InferenceResult,
+) -> Result<EmulationReport, BluError> {
+    let access = TopologyAccess::new(&inference.topology);
+    let mut scheduler = SpeculativeScheduler::new(&access);
+    let mut engine = CellEngine::with_config(trace, &config.emulation)?;
+    Ok(engine.run_segment(
+        &mut scheduler,
+        None,
+        AccessMode::BackToBack,
+        &mut NullObserver,
+    ))
 }
 
-/// The non-adaptive strawman for the dynamics experiment: blue-print
-/// once on the first epoch, then keep speculating on that stale
-/// blue-print as the environment changes underneath.
+/// The non-adaptive strawman for the dynamics experiment (§3.7):
+/// blue-print once on the first epoch, then keep speculating on that
+/// stale blue-print as the environment changes underneath. The
+/// adaptive loop it is compared against is [`run_blu`] per epoch.
 pub fn run_blu_stale(
     epochs: &[&TestbedTrace],
     config: &BluConfig,
@@ -250,7 +212,6 @@ pub fn run_blu_stale(
         &InferenceBackend::default(),
         &mut InferScratch::default(),
     );
-    let inferred = inference.topology.clone();
     let floor = crate::measure::min_subframes(
         epochs[0].ground_truth.n_clients,
         k.min(epochs[0].ground_truth.n_clients),
@@ -259,21 +220,12 @@ pub fn run_blu_stale(
     epochs
         .iter()
         .map(|trace| {
-            let access = TopologyAccess::new(&inferred);
-            let mut scheduler = SpeculativeScheduler::new(&access);
-            let mut engine = CellEngine::with_config(trace, &config.emulation)?;
-            let speculative = engine.run_segment(
-                &mut scheduler,
-                None,
-                AccessMode::BackToBack,
-                &mut NullObserver,
-            );
             Ok(BluRunReport {
                 measurement_subframes: t_max,
                 measurement_floor: floor,
                 inference: inference.clone(),
-                accuracy: topology_accuracy(&trace.ground_truth, &inferred),
-                speculative,
+                accuracy: topology_accuracy(&trace.ground_truth, &inference.topology),
+                speculative: speculate(trace, config, &inference)?,
             })
         })
         .collect()
@@ -464,7 +416,10 @@ mod dynamics_tests {
         emu.n_txops = 150;
         let config = BluConfig::new(emu);
 
-        let adaptive = run_blu_adaptive(&epochs, &config).unwrap();
+        let adaptive: Vec<BluRunReport> = epochs
+            .iter()
+            .map(|t| run_blu(t, &config).unwrap())
+            .collect();
         let stale = run_blu_stale(&epochs, &config).unwrap();
         assert_eq!(adaptive.len(), 2);
         assert_eq!(stale.len(), 2);

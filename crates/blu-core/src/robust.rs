@@ -22,22 +22,22 @@
 //! Drifting → Remeasuring (shortened phase, estimator decayed, §3.7)
 //! ```
 //!
-//! Every arm is a thin composition of engine stages over the cell's
-//! [`CellContext`]:
+//! Every arm is a few plain calls into [`crate::engine::stages`] over
+//! the cell's snapshot and arena:
 //!
-//! * **Measuring / Remeasuring** — `[MeasureStage, InferStage]` with
-//!   the fault-channel fidelity and the verdict gate: the Algorithm-1
-//!   plan feeds the estimator through the observation-fault channel,
-//!   and inference runs guarded (poison quarantine, stall repetition,
-//!   panic containment) with its verdict routed into
-//!   Confident/Fallback behind the breaker. Re-measurements are
-//!   shorter (`remeasure_t_samples`) and the estimator is first
-//!   *decayed* so fresh post-drift samples outweigh stale history.
-//! * **Confident / Fallback** — `[GenerateStage, ScheduleStage,
-//!   TransmitStage]`: the blueprint (or its absence) picks the
-//!   scheduler, the windowed policy clips a `check_interval_txops`
-//!   segment to the remaining trace, and the transmit stage drives
-//!   the [`CellEngine`](crate::engine::CellEngine) with the
+//! * **Measuring / Remeasuring** — measure, then infer: the
+//!   Algorithm-1 plan feeds the estimator through the
+//!   observation-fault channel, and inference runs guarded (poison
+//!   quarantine, stall repetition, panic containment) with its
+//!   verdict routed into Confident/Fallback behind the breaker.
+//!   Re-measurements are shorter (`remeasure_t_samples`) and the
+//!   estimator is first *decayed* so fresh post-drift samples
+//!   outweigh stale history.
+//! * **Confident / Fallback** — transmit, then (while streaming)
+//!   refine: the blueprint in force (or its absence) picks the
+//!   scheduler, a `check_interval_txops` segment is clipped to the
+//!   remaining trace, and the
+//!   [`CellEngine`](crate::engine::CellEngine) runs it with the
 //!   fault-tap observer feeding estimator and drift monitor per
 //!   decoded sub-frame. The *policy* that reads the drift score (or
 //!   the probation/breaker countdown) afterwards stays here.
@@ -46,8 +46,8 @@
 //!
 //! ## Resilience runtime (see [`crate::runtime`])
 //!
-//! Every inference call runs guarded inside
-//! [`InferStage`]: scripted runtime faults
+//! Every inference call runs guarded at the infer step: scripted
+//! runtime faults
 //! ([`blu_sim::faults::FaultKind::InferenceStall`], `InferencePanic`,
 //! `StatPoison`) stall it, panic it, or corrupt its constraint
 //! targets; poisoned targets are quarantined before the solver sees
@@ -65,16 +65,16 @@
 //! jitter — are part of it).
 //!
 //! PF fairness state is carried across segments by the transmit
-//! stage, and measurement overhead is charged against throughput in
+//! step, and measurement overhead is charged against throughput in
 //! [`RobustRunReport::effective_throughput_mbps`] — the number a
 //! deployment would actually see.
 
 use crate::blueprint::infer::InferenceVerdict;
 use crate::blueprint::InferenceBackend;
+use crate::engine::stages::{infer, measure, refine, transmit};
 use crate::engine::{
-    CellContext, CellGeometry, EngineArena, FleetEngine, GenerateStage, InferGate, InferStage,
-    MeasureFidelity, MeasureStage, NullObserver, SchedulePolicy, ScheduleStage, StageFlow,
-    StreamEvent, StreamInferStage, StreamState, TransmitFeed, TransmitStage,
+    CellGeometry, EngineArena, FleetEngine, NullObserver, StreamEvent, StreamState,
+    SubframeObserver,
 };
 use crate::error::BluError;
 use crate::measure::measurement_schedule;
@@ -159,11 +159,12 @@ impl Default for StreamingConfig {
 }
 
 /// Convert relative churn-event offsets into an absolute-time
-/// [`FaultScript`] starting at `start_subframe`. Every conversion is
-/// checked: an offset that would push an event past `u64::MAX` is a
-/// typed [`BluError::Overflow`], never a silent wrap that would
-/// reorder the script (mirroring the `min_subframes` treatment of the
-/// deadline layer).
+/// [`FaultScript`](blu_sim::faults::FaultScript) starting at
+/// `start_subframe`. Every conversion is checked: an offset that
+/// would push an event past `u64::MAX` is a typed
+/// [`BluError::Overflow`], never a silent wrap that would reorder the
+/// script (mirroring the `min_subframes` treatment of the deadline
+/// layer).
 pub fn compile_churn_script(
     events: &[blu_sim::churn::TopologyEvent],
     start_subframe: u64,
@@ -415,7 +416,9 @@ pub(crate) fn start_cell(
 }
 
 /// Guard a restored snapshot: it must have been taken against a
-/// capture of this geometry and under this seed.
+/// capture of this geometry and under this seed, and its cursor must
+/// lie within the trace (the access trace wraps on replay, so a
+/// cursor past its end would transmit forever).
 pub(crate) fn check_snapshot(
     snap: &RobustSnapshot,
     geom: &CellGeometry,
@@ -434,29 +437,13 @@ pub(crate) fn check_snapshot(
             snap.config_seed, seed
         )));
     }
+    if snap.cursor > snap.trace_len {
+        return Err(BluError::Checkpoint(format!(
+            "snapshot cursor {} lies past the end of the {}-sub-frame trace",
+            snap.cursor, snap.trace_len
+        )));
+    }
     Ok(())
-}
-
-/// The pipeline context of one robust-loop step: the cell's capture
-/// and config over its snapshot, its arena (transmit buffers and
-/// solver scratch) and the config's fleet cache, if any.
-fn cell_context<'a, 's>(
-    capture: &'a FaultyCapture,
-    config: &'a RobustConfig,
-    snap: &'s mut RobustSnapshot,
-    arena: &'s mut EngineArena,
-) -> CellContext<'a, 's> {
-    let mut ctx = CellContext::new(
-        &capture.trace,
-        Some(&capture.script),
-        &config.blu.emulation,
-        &config.blu.inference,
-        &config.backend,
-        snap,
-    );
-    ctx.arena = Some(arena);
-    ctx.fleet_cache = config.fleet_cache.as_deref();
-    ctx
 }
 
 /// One state-machine step of the robust loop over caller-held
@@ -469,7 +456,7 @@ pub(crate) fn step_cell_with(
     geom: &CellGeometry,
     snap: &mut RobustSnapshot,
     arena: &mut EngineArena,
-    observer: &mut dyn crate::engine::SubframeObserver,
+    observer: &mut dyn SubframeObserver,
 ) -> Result<bool, BluError> {
     if snap.done {
         return Ok(false);
@@ -490,53 +477,21 @@ pub(crate) fn step_cell_with(
             } else {
                 config.remeasure_t_samples
             };
-            let mut ctx = cell_context(capture, config, snap, arena);
-            let mut measure = MeasureStage {
-                t_samples: t,
-                fidelity: MeasureFidelity::FaultChannel,
-            };
-            let mut infer = InferStage {
-                gate: Some(InferGate {
-                    confidence_floor: config.confidence_floor,
-                    fallback_probation_txops: config.fallback_probation_txops,
-                }),
-            };
-            let flow =
-                crate::engine::run_pipeline(&mut ctx, &mut [&mut measure, &mut infer], observer)?;
-            if flow == StageFlow::Halt {
+            if !measure(capture, t, geom, snap, observer)? {
                 return Ok(false);
             }
+            infer(capture, config, snap, arena, observer);
         }
         OrchestratorState::Confident | OrchestratorState::Fallback => {
             let was_confident = snap.state == OrchestratorState::Confident;
             let segment_start = snap.cursor;
-            let mut ctx = cell_context(capture, config, snap, arena);
-            let mut generate = GenerateStage;
-            let mut schedule = ScheduleStage {
-                policy: SchedulePolicy::Windowed {
-                    check_interval_txops: config.check_interval_txops,
-                },
-            };
-            let mut transmit = TransmitStage {
-                feed: TransmitFeed::FaultTap,
-            };
-            let flow = crate::engine::run_pipeline(
-                &mut ctx,
-                &mut [&mut generate, &mut schedule, &mut transmit],
-                observer,
-            )?;
-            if flow == StageFlow::Halt {
+            let Some(txops) = transmit(capture, config, geom, snap, arena, true, observer)? else {
                 return Ok(false);
-            }
-            let txops = ctx
-                .segment
-                .expect("windowed transmit planned a segment")
-                .txops;
-            drop(ctx);
+            };
 
-            // Post-segment policy: the stages carried the
-            // mechanism; the drift gate and the probation/breaker
-            // countdown are the robust loop's own decisions.
+            // Post-segment policy: the steps carried the mechanism;
+            // the drift gate and the probation/breaker countdown are
+            // the robust loop's own decisions.
             if was_confident {
                 // Sampled before any streaming refine can reset the
                 // monitor: the peak must record what the segment saw.
@@ -571,12 +526,7 @@ pub(crate) fn step_cell_with(
                 // fires when streaming cannot keep up.
                 let occupancy = snap.stream.as_ref().map_or(0, |s| s.window.occupancy());
                 if was_confident && occupancy >= scfg.min_window {
-                    let mut ctx = cell_context(capture, config, snap, arena);
-                    let mut refine = StreamInferStage {
-                        confidence_floor: config.confidence_floor,
-                        refine_deadline_steps: scfg.refine_deadline_steps,
-                    };
-                    crate::engine::run_pipeline(&mut ctx, &mut [&mut refine], observer)?;
+                    refine(config, scfg.refine_deadline_steps, snap, arena, observer);
                 }
             }
             if was_confident {
@@ -640,23 +590,19 @@ pub(crate) fn step_cell_shed(
     if snap.done {
         return Ok(false);
     }
-    let mut ctx = cell_context(capture, config, snap, arena);
-    // Leave ctx.spec at its PF default: a blueprint may survive in
-    // the snapshot, but a shed cell must not speculate on it.
-    let mut schedule = ScheduleStage {
-        policy: SchedulePolicy::Windowed {
-            check_interval_txops: config.check_interval_txops,
-        },
-    };
-    let mut transmit = TransmitStage {
-        feed: TransmitFeed::FaultTap,
-    };
-    let flow = crate::engine::run_pipeline(
-        &mut ctx,
-        &mut [&mut schedule, &mut transmit],
+    let geom = CellGeometry::derive(&capture.trace, &config.blu.emulation);
+    // A blueprint may survive in the snapshot, but a shed cell must
+    // not speculate on it.
+    let ran = transmit(
+        capture,
+        config,
+        &geom,
+        snap,
+        arena,
+        false,
         &mut NullObserver,
     )?;
-    Ok(flow != StageFlow::Halt)
+    Ok(ran.is_some())
 }
 
 /// Run the robust loop over a fault-scripted capture until the trace
@@ -1343,6 +1289,219 @@ pub(crate) mod tests {
             Err(e) => panic!("expected Checkpoint error, got {e:?}"),
             Ok(_) => panic!("resume with a reseeded config must fail"),
         }
+    }
+
+    #[test]
+    fn resume_rejects_a_cursor_past_the_trace_end() {
+        // `TestbedTrace` access wraps, so a cursor past the end would
+        // keep transmitting forever instead of finishing the cell.
+        let cap = capture(FaultScript::none(), 60, 54);
+        let dir = std::env::temp_dir().join(format!("blu-ckpt-cursor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = quick_config();
+        cfg.checkpoint = Some(CheckpointPolicy {
+            dir: dir.clone(),
+            every_subframes: 0,
+            resume: true,
+        });
+        let (_, mut snap) = start_cell(&cap, &cfg).unwrap();
+        assert!(run_steps(&cap, &cfg, &mut snap, 2));
+        snap.state = OrchestratorState::Confident;
+        snap.cursor = snap.trace_len + 4;
+        save_robust_checkpoint(&dir.join("cell-0.json"), &snap).unwrap();
+        match run_blu_robust(&cap, &cfg) {
+            Err(BluError::Checkpoint(msg)) => assert!(msg.contains("past the end"), "{msg}"),
+            other => panic!("a cursor past the trace end must be rejected, got {other:?}"),
+        }
+        // A cursor at the end is in bounds: the cell resumes and ends.
+        snap.cursor = snap.trace_len;
+        save_robust_checkpoint(&dir.join("cell-0.json"), &snap).unwrap();
+        let report = run_blu_robust(&cap, &cfg).unwrap();
+        assert_eq!(report.speculative_txops, snap.speculative_txops);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // ------------------------------------------------------------------
+    // What an observer hears from the robust step.
+    // ------------------------------------------------------------------
+
+    /// Pins, step by step, the `on_stage` / `on_infer` /
+    /// `on_state_change` / `on_stream` events a robust step emits and
+    /// the heartbeats the supervisor's watchdog counts from them, for
+    /// a phased run through drift, a streaming run with refines,
+    /// trace-exhausting halts in both arms, and a shed PF step.
+    #[test]
+    fn observer_event_sequences_are_pinned() {
+        use crate::engine::{
+            CellGeometry, EngineArena, HeartbeatCounter, StageKind, StreamEvent, SubframeObserver,
+            SubframeView,
+        };
+
+        /// One step's events, decoded sub-frames folded into a count.
+        #[derive(Default)]
+        struct Recorder {
+            events: Vec<String>,
+            subframes: u64,
+            beats: HeartbeatCounter,
+        }
+
+        impl Recorder {
+            fn flush(&mut self) {
+                if self.subframes > 0 {
+                    self.events.push(format!("subframes {}", self.subframes));
+                    self.subframes = 0;
+                }
+            }
+
+            fn line(mut self, more: bool) -> String {
+                self.flush();
+                format!(
+                    "{} | beats {} | more {more}",
+                    self.events.join(", "),
+                    self.beats.beats()
+                )
+            }
+        }
+
+        impl SubframeObserver for Recorder {
+            fn on_stage(&mut self, kind: StageKind) {
+                self.flush();
+                self.beats.on_stage(kind);
+                self.events.push(format!("stage {kind:?}"));
+            }
+            fn on_subframe(&mut self, view: &SubframeView<'_>) {
+                self.beats.on_subframe(view);
+                self.subframes += 1;
+            }
+            fn on_infer(&mut self, verdict: InferenceVerdict, completed: bool) {
+                self.flush();
+                self.beats.on_infer(verdict, completed);
+                self.events.push(format!("infer {verdict:?} {completed}"));
+            }
+            fn on_state_change(&mut self, at_subframe: u64, state: OrchestratorState) {
+                self.flush();
+                self.events.push(format!("state {state} @{at_subframe}"));
+            }
+            fn on_stream(&mut self, event: StreamEvent) {
+                self.flush();
+                self.events.push(format!("stream {event:?}"));
+            }
+        }
+
+        /// Step to the end of the trace, one line per step.
+        fn record(cap: &FaultyCapture, cfg: &RobustConfig) -> (Vec<String>, RobustSnapshot) {
+            let (geom, mut snap) = start_cell(cap, cfg).unwrap();
+            let mut arena = EngineArena::new();
+            let mut lines = Vec::new();
+            loop {
+                let mut rec = Recorder::default();
+                let more =
+                    step_cell_with(cap, cfg, &geom, &mut snap, &mut arena, &mut rec).unwrap();
+                lines.push(rec.line(more));
+                if !more {
+                    return (lines, snap);
+                }
+            }
+        }
+
+        fn fnv(lines: &[String]) -> u64 {
+            lines
+                .iter()
+                .flat_map(|l| l.bytes().chain([b'\n']))
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        }
+
+        let cap = capture(step_change_script(), 90, 12);
+
+        // Phased: Measuring → Confident → Drifting → Remeasuring.
+        let phased_cfg = quick_config();
+        let (phased, end) = record(&cap, &phased_cfg);
+        let visited: Vec<_> = end.transitions.iter().map(|t| t.state).collect();
+        let drift = visited
+            .iter()
+            .position(|s| *s == OrchestratorState::Drifting)
+            .expect("the step change must trip the drift gate");
+        assert_eq!(
+            visited[..2],
+            [OrchestratorState::Measuring, OrchestratorState::Confident]
+        );
+        assert_eq!(visited[drift + 1], OrchestratorState::Remeasuring);
+        assert!(phased[0].starts_with("stage Measure, stage Infer, infer "));
+        assert!(phased[1].starts_with("stage Generate, stage Schedule, stage Transmit, subframes "));
+        // The last step finds no room for a segment: it announces
+        // Generate and Schedule, then halts.
+        assert_eq!(
+            phased.last().unwrap(),
+            "stage Generate, stage Schedule | beats 2 | more false"
+        );
+
+        // Streaming: refines announce Infer after the segment.
+        let mut stream_cfg = quick_config();
+        stream_cfg.streaming = Some(StreamingConfig::new(1_000));
+        let (streamed, _) = record(&cap, &stream_cfg);
+        assert!(streamed
+            .iter()
+            .any(|l| l.contains("stage Infer, infer ") && l.contains("stream Refine")));
+
+        // Halts: a measurement plan that overruns the trace, and a
+        // Fallback segment with no room; a done cell emits nothing.
+        let geom = CellGeometry::derive(&cap.trace, &phased_cfg.blu.emulation);
+        let mut arena = EngineArena::new();
+        let mut halts = Vec::new();
+        for state in [OrchestratorState::Remeasuring, OrchestratorState::Fallback] {
+            let (_, mut snap) = start_cell(&cap, &phased_cfg).unwrap();
+            snap.state = state;
+            snap.cursor = geom.trace_len - 1;
+            for _ in 0..2 {
+                let mut rec = Recorder::default();
+                let more =
+                    step_cell_with(&cap, &phased_cfg, &geom, &mut snap, &mut arena, &mut rec)
+                        .unwrap();
+                halts.push(rec.line(more));
+            }
+            assert!(snap.done);
+        }
+        assert_eq!(
+            halts,
+            [
+                "stage Measure | beats 1 | more false",
+                " | beats 0 | more false",
+                "stage Generate, stage Schedule | beats 2 | more false",
+                " | beats 0 | more false",
+            ]
+        );
+
+        // Shed: a Confident cell with a blueprint in force drains one
+        // PF segment; the step takes no observer and moves no state.
+        let (_, mut snap) = start_cell(&cap, &phased_cfg).unwrap();
+        assert!(run_steps(&cap, &phased_cfg, &mut snap, 1));
+        assert_eq!(snap.state, OrchestratorState::Confident);
+        let before = snap.clone();
+        assert!(step_cell_shed(&cap, &phased_cfg, &mut snap, &mut arena).unwrap());
+        assert_eq!(snap.transitions, before.transitions);
+        assert_eq!(snap.verdicts, before.verdicts);
+        assert_eq!(snap.speculative_txops, before.speculative_txops);
+        assert_eq!(
+            (
+                snap.cursor - before.cursor,
+                snap.fallback_txops - before.fallback_txops
+            ),
+            (
+                phased_cfg.check_interval_txops * geom.per_txop,
+                phased_cfg.check_interval_txops
+            )
+        );
+
+        // Every step's record, pinned whole.
+        assert_eq!(
+            [
+                (phased.len(), fnv(&phased)),
+                (streamed.len(), fnv(&streamed))
+            ],
+            [(908, 0x6465_d1b6_62a5_a1b6), (902, 0xa793_7d4a_fbf7_f2f9)]
+        );
     }
 
     // ------------------------------------------------------------------

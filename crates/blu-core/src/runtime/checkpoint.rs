@@ -72,7 +72,7 @@ pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluE
 }
 
 /// Atomically write `snapshot` (wrapped in the current format
-/// version) to `path` ([`write_json_atomic`]), then fsync the parent
+/// version) to `path` (`write_json_atomic`), then fsync the parent
 /// directory so the rename itself is durable (Unix only; other
 /// platforms have no portable directory-sync primitive).
 pub fn save_robust_checkpoint(path: &Path, snapshot: &RobustSnapshot) -> Result<(), BluError> {

@@ -943,6 +943,8 @@ fn accept_loop(
 }
 
 #[cfg(test)]
+mod checkpoint_fuzz;
+#[cfg(test)]
 mod emitter_differential;
 #[cfg(test)]
 mod sidecar_fuzz;

@@ -39,7 +39,7 @@
 //! ## Watchdog semantics
 //!
 //! Liveness is measured with a [`HeartbeatCounter`] tapped into the
-//! stage pipeline: a step that produces zero beats did no engine work
+//! robust step as its observer: a step that produces zero beats did no engine work
 //! and counts as *silent*; [`SupervisorConfig::stall_threshold_steps`]
 //! consecutive silent steps fail the cell. A *hard stall* — the
 //! scripted inference stall factor at the cell's cursor reaching
@@ -370,7 +370,7 @@ impl RestartBackoffConfig {
         ((backoff as f64 * factor) as u64).max(1)
     }
 
-    /// The longest wait [`Self::wait_rounds`] can draw: the cap at full
+    /// The longest wait `wait_rounds` can draw: the cap at full
     /// positive jitter.
     pub fn max_wait_rounds(&self) -> u64 {
         (self.max_rounds as f64 * (1.0 + self.jitter_frac)) as u64
@@ -1293,7 +1293,7 @@ pub fn run_supervised_fleet(
 ///
 /// The fleet advances in rounds: every live cell executes one
 /// state-machine step in parallel across the
-/// [`FleetEngine`](crate::engine::FleetEngine) shards, then a
+/// [`FleetEngine`] shards, then a
 /// sequential coordinator (in cell order, so the run is deterministic
 /// at any parallelism level) settles health transitions, restores
 /// failed cells and persists checkpoints with their supervisor
@@ -1609,6 +1609,30 @@ mod tests {
         assert_eq!(a.crashes_observed, b.crashes_observed);
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_cursor_past_the_trace_end() {
+        let caps = vec![capture(FaultScript::none(), 60, 63)];
+        let dir = scratch_dir("cursor");
+        let mut config = quick_config();
+        config.checkpoint = Some(crate::robust::CheckpointPolicy {
+            dir: dir.clone(),
+            every_subframes: 0,
+            resume: true,
+        });
+        let (_, mut snap) = start_cell(&caps[0], &config).unwrap();
+        snap.state = OrchestratorState::Confident;
+        snap.cursor = snap.trace_len + 4;
+        save_robust_checkpoint(&dir.join("cell-0.json"), &snap).unwrap();
+        match run_supervised_fleet(&caps, &config, &SupervisorConfig::default()) {
+            Err(BluError::Checkpoint(msg)) => assert!(msg.contains("past the end"), "{msg}"),
+            other => panic!(
+                "a cursor past the trace end must be rejected, got {:?}",
+                other.map(|out| out.health.completed)
+            ),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

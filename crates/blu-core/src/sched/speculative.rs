@@ -40,7 +40,7 @@
 //! lock-free in steady state, both **bit-identical** by construction:
 //!
 //! * **Singleton fast path** — on the first greedy iteration the
-//!   group is empty, and [`expectation_kernel`] over `{ℓ}` reduces
+//!   group is empty, and `expectation_kernel` over `{ℓ}` reduces
 //!   *exactly* (same float ops: `x·1.0 = x`, `x−0.0 = x`,
 //!   `mimo_penalty(1, m) = m/m = 1.0`) to `p(ℓ)·w(ℓ)` — the already
 //!   cached pruning bound. The dominant `O(N)` singleton candidates
@@ -52,7 +52,7 @@
 //!   entirely. Same `Arc`s, same values.
 //!
 //! Pruned and exhaustive modes share one float kernel
-//! ([`expectation_kernel`]) and therefore produce **bit-identical**
+//! (`expectation_kernel`) and therefore produce **bit-identical**
 //! schedules — `SpeculativeScheduler::exhaustive` keeps the
 //! evaluate-everything path alive as the differential-test oracle.
 //!
@@ -490,7 +490,7 @@ impl<'a> SpeculativeScheduler<'a> {
 
     /// Vectorized greedy over the whole sub-frame (the data-oriented
     /// twin of [`SpeculativeScheduler::best_group_for_rb`], gated by
-    /// [`SpeculativeScheduler::flat_path_applies`]). Stage one computes
+    /// [`SpeculativeScheduler::flat_path_applies`]). Phase one computes
     /// the best *singleton* for every RB columnar-style: the weight
     /// matrix is filled row-sequentially (same `rate / avg.max(1.0)`
     /// divide as [`SchedInput::weight`]), then one pass per client
@@ -498,7 +498,7 @@ impl<'a> SpeculativeScheduler<'a> {
     /// `none ∨ e > best` replays the per-RB candidate loop's
     /// `is_none_or` exactly — ascending client order, strict greater,
     /// first-wins ties — so the chosen singleton (and its expectation
-    /// bits) match the scalar path on every RB. Stage two replays the
+    /// bits) match the scalar path on every RB. Phase two replays the
     /// second greedy iteration per RB through the [`PairTerms`] table,
     /// identical float ops in identical order. The per-RB schedules
     /// this produces are bit-identical to the scalar builder's; the

@@ -1,5 +1,5 @@
-//! Engine differential tests: the staged `CellEngine` pipeline must
-//! reproduce the pre-refactor subframe loops **bit-for-bit**.
+//! Engine differential tests: the `CellEngine` and the loops built on
+//! it must reproduce the pre-refactor subframe loops **bit-for-bit**.
 //!
 //! The golden file `tests/data/engine_golden_v1.json` was generated
 //! by the standalone-loop implementations (`Emulator::run`,

@@ -16,7 +16,7 @@
 //! indices aligned.
 //!
 //! With an empty script the output is bit-identical to
-//! [`capture_synthetic`] (same RNG stream discipline), so fault-free
+//! [`capture_synthetic`](crate::capture::capture_synthetic) (same RNG stream discipline), so fault-free
 //! baselines and faulted runs share their first epoch exactly.
 
 use crate::capture::{capture_csi, CaptureConfig};
@@ -68,7 +68,8 @@ impl FaultyCapture {
 
 /// Capture a synthetic trace with a [`FaultScript`] applied.
 ///
-/// Epoch 0 reproduces [`capture_synthetic`]'s topology, activity, SNR
+/// Epoch 0 reproduces
+/// [`capture_synthetic`](crate::capture::capture_synthetic)'s topology, activity, SNR
 /// and CSI streams exactly; each later epoch re-generates activity
 /// only (derived per-epoch/per-terminal streams), so an empty script
 /// yields the same trace as the fault-free path.
