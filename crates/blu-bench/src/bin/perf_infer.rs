@@ -18,8 +18,10 @@
 //!   topologies (pinned by blu-core's differential tests), so this is
 //!   a pure like-for-like kernel comparison;
 //! * **batch cells/sec** — N independent cells blue-printed through
-//!   the parallel `infer_batch(.., None)` front end versus the
-//!   sequential reference ([`infer_batch_sequential`]), and a
+//!   the parallel `infer_batch(.., None)` front end versus the same
+//!   [`InferenceBackend::solve`] path run in order on one reused
+//!   [`InferScratch`], so `batch_speedup` measures the sharding alone
+//!   (it reads about 1× if the fan-out runs on one thread), and a
 //!   repeated-topology fleet through `infer_batch(.., Some(cache))`
 //!   versus the same batch without the cache.
 //!
@@ -28,7 +30,7 @@
 
 use blu_bench::runners::topology_with_hts_per_ue;
 use blu_bench::{ExpArgs, Table};
-use blu_core::blueprint::batch::{infer_batch, infer_batch_sequential};
+use blu_core::blueprint::batch::infer_batch;
 use blu_core::blueprint::mcmc::{infer_mcmc, infer_mcmc_scratch, McmcConfig};
 use blu_core::blueprint::{
     ConstraintSystem, FleetBlueprintCache, FleetCacheStats, InferScratch, InferenceBackend,
@@ -175,8 +177,8 @@ fn main() {
     let scr_pps = proposals / scr_secs.max(1e-9);
 
     // Batch inference: one constraint system per cell, gradient
-    // backend, sharded fan-out with per-shard scratch vs sequential
-    // reference.
+    // backend, sharded fan-out with per-shard scratch vs the same
+    // solve path in order on one scratch.
     let batch_cells = args.scaled(16, 8);
     let systems: Vec<ConstraintSystem> = (0..batch_cells)
         .map(|c| {
@@ -190,12 +192,15 @@ fn main() {
     // spin up the shard threads once, so neither timed pass pays
     // first-run costs the other doesn't.
     let gradient = InferenceBackend::Gradient;
+    let mut seq_scratch = InferScratch::default();
+    let mut sequential = || -> Vec<_> {
+        systems
+            .iter()
+            .map(|sys| gradient.solve(sys, &icfg, &mut seq_scratch, None).0)
+            .collect()
+    };
     std::hint::black_box(infer_batch(&systems, &icfg, &gradient, None));
-    std::hint::black_box(infer_batch_sequential(
-        &systems,
-        &icfg,
-        &InferenceBackend::Gradient,
-    ));
+    std::hint::black_box(sequential());
     // Alternating min-of-rounds: the per-cell math of the two paths
     // is pinned bit-identical by the differential tests, so the
     // measurement must reject scheduler noise rather than average it
@@ -208,13 +213,7 @@ fn main() {
     for _ in 0..batch_rounds {
         let (_, p) =
             time_secs(|| std::hint::black_box(infer_batch(&systems, &icfg, &gradient, None)));
-        let (_, s) = time_secs(|| {
-            std::hint::black_box(infer_batch_sequential(
-                &systems,
-                &icfg,
-                &InferenceBackend::Gradient,
-            ))
-        });
+        let (_, s) = time_secs(|| std::hint::black_box(sequential()));
         par_secs = par_secs.min(p);
         seq_secs = seq_secs.min(s);
     }

@@ -65,21 +65,19 @@ STREAMING (continuous churn absorption):
 
 SUPERVISION:
     --supervise               run under the fleet supervisor: crashes
-                              and stalls restart the cell from its
-                              latest checkpoint (or quarantine it to
-                              PF once the retry budget is spent)
+                              and hard stalls restart the cell from
+                              its latest checkpoint (or quarantine it
+                              to PF once the retry budget is spent)
     --max-restarts <n>        restarts before quarantine (default 3)
-    --stall-threshold <n>     consecutive silent steps before the
-                              watchdog fires (default 6)
     --stall-factor-limit <n>  scripted stall factor treated as a hard
                               stall while measuring (default 8)
 
 CRASH RECOVERY:
     --checkpoint-dir <dir>    persist orchestrator snapshots to
                               <dir>/cell-0.json (atomic temp+rename)
-    --checkpoint-every <sf>   also save every <sf> sub-frames of
-                              progress (default 10000; 0 = only at
-                              clean shutdown)
+    --checkpoint-every <sf>   also save whenever the cursor crosses
+                              a multiple of <sf> sub-frames (default
+                              10000; 0 = only at clean shutdown)
     --resume                  restore from an existing snapshot in
                               --checkpoint-dir and continue; the
                               resumed run is bit-identical to an
@@ -232,7 +230,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "t-start",
             "t-end",
             "deadline-steps",
-            "stall-threshold",
             "stall-factor-limit",
             "checkpoint-dir",
             "checkpoint-every",
@@ -349,7 +346,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let (report, health): (_, Option<CellHealthReport>) = if flags.has("supervise") {
         let sup = SupervisorConfig {
             max_restarts: flags.get_or("max-restarts", 3u32)?,
-            stall_threshold_steps: flags.get_or("stall-threshold", 6u32)?,
             stall_factor_limit: flags.get_or("stall-factor-limit", 8u32)?,
             ..SupervisorConfig::default()
         };

@@ -136,3 +136,17 @@ fn misspelled_flag_fails_naming_it() {
     assert!(err.contains("unknown flag --stream-window"), "{err}");
     assert!(out.stdout.is_empty(), "nothing may be sent or printed");
 }
+
+#[test]
+fn removed_stall_threshold_flag_is_rejected() {
+    // The silent-step watchdog it tuned is gone; the flag must fail
+    // before any run starts, not be ignored.
+    let out = blu()
+        .args(["robust", "--supervise", "--stall-threshold", "1"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --stall-threshold"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run or print");
+}

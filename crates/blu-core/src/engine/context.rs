@@ -14,6 +14,7 @@ use crate::blueprint::{InferenceResult, ObservationWindow};
 use crate::emulator::EmulationConfig;
 use crate::measure::OutcomeEstimator;
 use crate::metrics::UplinkMetrics;
+use crate::robust::DRIFT_ALPHA;
 use crate::runtime::breaker::{BreakerConfig, CircuitBreaker};
 use blu_sim::faults::ObservationChannel;
 use blu_sim::rng::DetRng;
@@ -149,9 +150,10 @@ pub struct CheckpointPolicy {
     /// Directory holding the per-cell snapshot files
     /// (`cell-<index>.json`).
     pub dir: PathBuf,
-    /// Save whenever the cursor has advanced this many sub-frames
-    /// since the last save (0 = only at clean shutdown). A final
-    /// save always happens when the run completes.
+    /// Save whenever the cursor crosses a multiple of this many
+    /// sub-frames (0 = only at clean shutdown). Both the unsupervised
+    /// loop and the supervised cell use this grid. A final save always
+    /// happens when the run completes.
     pub every_subframes: u64,
     /// Resume from an existing snapshot in `dir` if one is present
     /// (a fresh run starts when the file is absent).
@@ -307,13 +309,7 @@ impl CellSnapshot {
     /// Fresh pre-run state for a cell of `n` clients over a trace of
     /// `trace_len` sub-frames. All RNG streams (observation channel,
     /// poison source, breaker jitter) derive from `seed`.
-    pub fn fresh(
-        n: usize,
-        trace_len: u64,
-        seed: u64,
-        drift_alpha: f64,
-        breaker: BreakerConfig,
-    ) -> Self {
+    pub fn fresh(n: usize, trace_len: u64, seed: u64, breaker: BreakerConfig) -> Self {
         CellSnapshot {
             n_clients: n as u64,
             trace_len,
@@ -324,7 +320,7 @@ impl CellSnapshot {
             est: OutcomeEstimator::new(n),
             chan: ObservationChannel::new(DetRng::seed_from_u64(seed ^ 0x0B5E_7ACE)),
             poison_rng: DetRng::seed_from_u64(seed ^ 0x7015_0A11),
-            drift: DriftMonitor::new(drift_alpha, n),
+            drift: DriftMonitor::new(DRIFT_ALPHA, n),
             breaker: CircuitBreaker::new(breaker, seed),
             metrics: UplinkMetrics::new(n),
             transitions: vec![StateTransition {

@@ -46,5 +46,5 @@ pub use context::{
 };
 pub use fleet::FleetEngine;
 pub use hot::EngineArena;
-pub use observer::{HeartbeatCounter, NullObserver, StreamEvent, SubframeObserver, SubframeView};
+pub use observer::{NullObserver, StreamEvent, SubframeObserver, SubframeView};
 pub use stages::StageKind;

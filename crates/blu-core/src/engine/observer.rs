@@ -98,44 +98,6 @@ pub struct NullObserver;
 
 impl SubframeObserver for NullObserver {}
 
-/// Watchdog heartbeat source: counts engine events as liveness beats.
-///
-/// The fleet supervisor taps one of these into each cell's robust
-/// step as its observer; a step that produces zero beats did no engine
-/// work (no stage entered, no sub-frame decoded, no inference ran)
-/// and counts as a *silent* step toward the stall watchdog. The
-/// counter is read-only telemetry — per the module contract it never
-/// feeds back into what the engine computes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HeartbeatCounter {
-    beats: u64,
-}
-
-impl HeartbeatCounter {
-    /// Beats accumulated since construction (or the last
-    /// [`Self::reset`]).
-    pub fn beats(&self) -> u64 {
-        self.beats
-    }
-
-    /// Zero the counter (one watchdog window per supervised step).
-    pub fn reset(&mut self) {
-        self.beats = 0;
-    }
-}
-
-impl SubframeObserver for HeartbeatCounter {
-    fn on_stage(&mut self, _kind: StageKind) {
-        self.beats += 1;
-    }
-    fn on_subframe(&mut self, _view: &SubframeView<'_>) {
-        self.beats += 1;
-    }
-    fn on_infer(&mut self, _verdict: InferenceVerdict, _completed: bool) {
-        self.beats += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,9 +13,8 @@
 //! stay with the robust step.
 //!
 //! Each function announces its [`StageKind`]s to the observer before
-//! it does any work, so an observer (the supervisor's
-//! [`HeartbeatCounter`](crate::engine::HeartbeatCounter) among them)
-//! sees one event per stage, in Fig. 9 order.
+//! it does any work, so an observer sees one event per stage, in
+//! Fig. 9 order.
 
 use crate::blueprint::constraints::{ConstraintSystem, TransformedTopology};
 use crate::blueprint::fleetcache::FleetCacheEvent;
@@ -28,7 +27,9 @@ use crate::engine::observer::{StreamEvent, SubframeObserver, SubframeView};
 use crate::error::BluError;
 use crate::joint::TopologyAccess;
 use crate::measure::{measurement_schedule, MeasurementPlan, OutcomeEstimator};
-use crate::robust::RobustConfig;
+use crate::robust::{
+    RobustConfig, CHECK_INTERVAL_TXOPS, CONFIDENCE_FLOOR, FALLBACK_PROBATION_TXOPS,
+};
 use crate::runtime::deadline::Deadline;
 use crate::runtime::panic_message;
 use crate::sched::{PfScheduler, SpeculativeScheduler};
@@ -115,9 +116,9 @@ pub(crate) fn measure(
 
 /// Blue-print a topology from the snapshot's statistics under the
 /// resilience guards, and route the verdict: a blueprint that is not
-/// degraded and clears `config.confidence_floor` is installed and the
+/// degraded and clears [`CONFIDENCE_FLOOR`] is installed and the
 /// cell enters Confident; anything else (a contained panic included)
-/// earns `config.fallback_probation_txops` of PF Fallback and a
+/// earns [`FALLBACK_PROBATION_TXOPS`] of PF Fallback and a
 /// breaker failure.
 pub(crate) fn infer(
     capture: &FaultyCapture,
@@ -138,7 +139,7 @@ pub(crate) fn infer(
             observer.on_infer(result.verdict, result.completed);
             snap.verdicts.push(result.verdict);
             (result.verdict != InferenceVerdict::Degraded
-                && result.confidence() >= config.confidence_floor)
+                && result.confidence() >= CONFIDENCE_FLOOR)
                 .then_some(result)
         }
         Err(e) => {
@@ -156,7 +157,7 @@ pub(crate) fn infer(
         snap.enter(OrchestratorState::Confident);
     } else {
         snap.breaker.record_failure(snap.cursor);
-        snap.probation_left = config.fallback_probation_txops;
+        snap.probation_left = FALLBACK_PROBATION_TXOPS;
         snap.enter(OrchestratorState::Fallback);
     }
     snap.blueprint = usable;
@@ -230,7 +231,7 @@ fn guarded_solve(
 /// this reads only the snapshot's
 /// [`StreamState`](crate::engine::StreamState) window, whose counters
 /// drift with ground truth as observations age out. A refined
-/// blueprint that clears `config.confidence_floor` replaces the one in
+/// blueprint that clears [`CONFIDENCE_FLOOR`] replaces the one in
 /// force and resets the drift monitor; one that does not is discarded
 /// and the drift monitor stays armed as the full-re-measurement
 /// fallback. A refine never consults the fleet cache (warm starts are
@@ -274,7 +275,7 @@ pub(crate) fn refine(
             observer.on_infer(result.verdict, result.completed);
             snap.verdicts.push(result.verdict);
             let installed = result.verdict != InferenceVerdict::Degraded
-                && result.confidence() >= config.confidence_floor;
+                && result.confidence() >= CONFIDENCE_FLOOR;
             if installed {
                 stream.refines_installed += 1;
                 snap.blueprint = Some(result);
@@ -316,7 +317,7 @@ fn stream_refine(
 }
 
 /// Drive one windowed segment of the [`CellEngine`] from the snapshot
-/// cursor: `config.check_interval_txops` TxOPs clipped to the
+/// cursor: [`CHECK_INTERVAL_TXOPS`] TxOPs clipped to the
 /// remaining trace, speculating on the blueprint in force when
 /// `speculate` is set and one exists, plain PF otherwise. Every
 /// decoded sub-frame passes the [`DriftTap`]; PF state is carried
@@ -335,7 +336,7 @@ pub(crate) fn transmit(
     observer.on_stage(StageKind::Generate);
     observer.on_stage(StageKind::Schedule);
     let room = (geom.trace_len - snap.cursor) / geom.per_txop;
-    let txops = config.check_interval_txops.min(room);
+    let txops = CHECK_INTERVAL_TXOPS.min(room);
     if txops == 0 {
         snap.done = true;
         return Ok(None);

@@ -30,12 +30,12 @@
 //!   observation-fault channel, and inference runs guarded (poison
 //!   quarantine, stall repetition, panic containment) with its
 //!   verdict routed into Confident/Fallback behind the breaker.
-//!   Re-measurements are shorter (`remeasure_t_samples`) and the
+//!   Re-measurements are shorter ([`REMEASURE_T_SAMPLES`]) and the
 //!   estimator is first *decayed* so fresh post-drift samples
 //!   outweigh stale history.
 //! * **Confident / Fallback** — transmit, then (while streaming)
 //!   refine: the blueprint in force (or its absence) picks the
-//!   scheduler, a `check_interval_txops` segment is clipped to the
+//!   scheduler, a [`CHECK_INTERVAL_TXOPS`] segment is clipped to the
 //!   remaining trace, and the
 //!   [`CellEngine`](crate::engine::CellEngine) runs it with the
 //!   fault-tap observer feeding estimator and drift monitor per
@@ -81,7 +81,7 @@ use crate::measure::measurement_schedule;
 use crate::metrics::UplinkMetrics;
 use crate::orchestrator::BluConfig;
 use crate::runtime::breaker::{BreakerConfig, BreakerPoll, BreakerTransition};
-use crate::runtime::checkpoint::{load_robust_checkpoint, save_robust_checkpoint};
+use crate::runtime::checkpoint::{load_robust_checkpoint, save_due, save_robust_checkpoint};
 use blu_traces::faults::FaultyCapture;
 
 pub use crate::engine::context::CellSnapshot as RobustSnapshot;
@@ -95,6 +95,32 @@ pub use crate::engine::context::{
 /// allocation; 65,536 is 32× the 2,000 the benchmark and CI run.
 pub const MAX_STREAM_WINDOW: usize = 65_536;
 
+/// Minimum blue-print confidence (`1 − residual fraction`) to
+/// speculate on; below it the loop falls back to PF.
+pub const CONFIDENCE_FLOOR: f64 = 0.35;
+
+/// EWMA weight of the drift monitor.
+pub const DRIFT_ALPHA: f64 = 0.01;
+
+/// Outcomes the drift monitor must see before its score counts
+/// (EWMA warm-up).
+pub const MIN_DRIFT_SAMPLES: u64 = 1_000;
+
+/// `T` of the shortened re-measurement phases (§3.7: the estimator
+/// stays warm, so far fewer fresh samples suffice).
+pub const REMEASURE_T_SAMPLES: u64 = 15;
+
+/// TxOPs per speculative or fallback segment between drift checks.
+pub const CHECK_INTERVAL_TXOPS: u64 = 25;
+
+/// TxOPs spent in PF fallback before measurement is retried.
+pub const FALLBACK_PROBATION_TXOPS: u64 = 50;
+
+/// Estimator count-retention factor applied before each
+/// re-measurement (see
+/// [`OutcomeEstimator::decay`](crate::measure::OutcomeEstimator::decay)).
+pub const ESTIMATOR_KEEP: f64 = 0.25;
+
 /// Streaming online-inference knobs: with
 /// [`RobustConfig::streaming`] set, the Confident arm carries a
 /// sliding [`ObservationWindow`](crate::blueprint::ObservationWindow)
@@ -105,9 +131,6 @@ pub const MAX_STREAM_WINDOW: usize = 65_536;
 pub struct StreamingConfig {
     /// Observation-ring capacity, in retained sub-frames.
     pub window: usize,
-    /// Minimum window occupancy before incremental refines start
-    /// (a thin window under-determines the constraint system).
-    pub min_window: usize,
     /// Step budget of each incremental refine (the anytime deadline
     /// of the streaming arm — refines must never stall a segment
     /// boundary).
@@ -116,13 +139,19 @@ pub struct StreamingConfig {
 
 impl StreamingConfig {
     /// Defaults tuned against the testbed-scale scenarios: a window
-    /// a few segments deep, refines gated on a quarter of it.
+    /// a few segments deep.
     pub fn new(window: usize) -> Self {
         StreamingConfig {
             window,
-            min_window: (window / 4).max(1),
             refine_deadline_steps: 400,
         }
+    }
+
+    /// Minimum window occupancy before incremental refines start: a
+    /// quarter of the window, at least 1 (a thin window
+    /// under-determines the constraint system).
+    pub fn min_window(&self) -> usize {
+        (self.window / 4).max(1)
     }
 
     /// Validate the knobs.
@@ -137,11 +166,6 @@ impl StreamingConfig {
                 "streaming window must be at most {MAX_STREAM_WINDOW} sub-frames, got {}",
                 self.window
             )));
-        }
-        if self.min_window > self.window {
-            return Err(BluError::InvalidConfig(
-                "streaming min_window cannot exceed the window".into(),
-            ));
         }
         if self.refine_deadline_steps == 0 {
             return Err(BluError::InvalidConfig(
@@ -190,27 +214,8 @@ pub fn compile_churn_script(
 pub struct RobustConfig {
     /// The underlying two-phase configuration (cell, `T`, inference).
     pub blu: BluConfig,
-    /// Minimum blue-print confidence (`1 − residual fraction`) to
-    /// speculate on; below it the loop falls back to PF.
-    pub confidence_floor: f64,
     /// Drift-score threshold that triggers re-measurement.
     pub drift_threshold: f64,
-    /// EWMA weight of the drift monitor.
-    pub drift_alpha: f64,
-    /// Ignore the drift score until this many outcomes were seen
-    /// (EWMA warm-up).
-    pub min_drift_samples: u64,
-    /// `T` for shortened re-measurement phases (§3.7 — the estimator
-    /// stays warm, so far fewer fresh samples suffice).
-    pub remeasure_t_samples: u64,
-    /// Speculative/fallback segment length between drift checks.
-    pub check_interval_txops: u64,
-    /// TxOPs spent in PF fallback before measurement is retried.
-    pub fallback_probation_txops: u64,
-    /// Estimator count-retention factor applied before each
-    /// re-measurement (see
-    /// [`OutcomeEstimator::decay`](crate::measure::OutcomeEstimator::decay)).
-    pub estimator_keep: f64,
     /// Seed of the observation-fault channel RNG (the poison and
     /// breaker-jitter streams are derived from it).
     pub seed: u64,
@@ -240,14 +245,7 @@ impl RobustConfig {
     pub fn new(blu: BluConfig) -> Self {
         RobustConfig {
             blu,
-            confidence_floor: 0.35,
             drift_threshold: 0.35,
-            drift_alpha: 0.01,
-            min_drift_samples: 1_000,
-            remeasure_t_samples: 15,
-            check_interval_txops: 25,
-            fallback_probation_txops: 50,
-            estimator_keep: 0.25,
             seed: 0xD1F7,
             backend: InferenceBackend::Gradient,
             breaker: BreakerConfig::default(),
@@ -260,11 +258,6 @@ impl RobustConfig {
     /// Up-front validation of every knob that would otherwise fail
     /// deep inside the loop (or silently wedge it).
     pub fn validate(&self) -> Result<(), BluError> {
-        if self.check_interval_txops == 0 {
-            return Err(BluError::InvalidConfig(
-                "check_interval_txops must be positive".into(),
-            ));
-        }
         self.blu.inference.validate()?;
         if let InferenceBackend::Mcmc { config, .. } = &self.backend {
             config.validate()?;
@@ -405,13 +398,7 @@ pub(crate) fn start_cell(
             available: geom.trace_len,
         });
     }
-    let snap = RobustSnapshot::fresh(
-        geom.n,
-        geom.trace_len,
-        config.seed,
-        config.drift_alpha,
-        config.breaker,
-    );
+    let snap = RobustSnapshot::fresh(geom.n, geom.trace_len, config.seed, config.breaker);
     Ok((geom, snap))
 }
 
@@ -475,7 +462,7 @@ pub(crate) fn step_cell_with(
             let t = if snap.state == OrchestratorState::Measuring {
                 config.blu.t_samples
             } else {
-                config.remeasure_t_samples
+                REMEASURE_T_SAMPLES
             };
             if !measure(capture, t, geom, snap, observer)? {
                 return Ok(false);
@@ -525,12 +512,12 @@ pub(crate) fn step_cell_with(
                 // the (demoted) full-re-measurement gate below only
                 // fires when streaming cannot keep up.
                 let occupancy = snap.stream.as_ref().map_or(0, |s| s.window.occupancy());
-                if was_confident && occupancy >= scfg.min_window {
+                if was_confident && occupancy >= scfg.min_window() {
                     refine(config, scfg.refine_deadline_steps, snap, arena, observer);
                 }
             }
             if was_confident {
-                if snap.drift.samples() >= config.min_drift_samples
+                if snap.drift.samples() >= MIN_DRIFT_SAMPLES
                     && snap.drift.score() > config.drift_threshold
                 {
                     if config.streaming.is_some() {
@@ -555,7 +542,7 @@ pub(crate) fn step_cell_with(
                             snap.probation_left = (wait_subframes / geom.per_txop).max(1);
                         }
                         BreakerPoll::Allow => {
-                            snap.est.decay(config.estimator_keep);
+                            snap.est.decay(ESTIMATOR_KEEP);
                             snap.n_remeasurements += 1;
                             snap.enter(OrchestratorState::Remeasuring);
                         }
@@ -566,7 +553,7 @@ pub(crate) fn step_cell_with(
         OrchestratorState::Drifting => {
             // Transitional: decay stale statistics and go
             // straight into the shortened re-measurement.
-            snap.est.decay(config.estimator_keep);
+            snap.est.decay(ESTIMATOR_KEEP);
             snap.n_remeasurements += 1;
             snap.enter(OrchestratorState::Remeasuring);
         }
@@ -649,8 +636,7 @@ pub fn run_blu_robust_cell_in(
     loop {
         let more = step_cell_with(capture, config, &geom, &mut snap, arena, &mut NullObserver)?;
         if let Some((policy, path)) = &ckpt {
-            let interval_due = policy.every_subframes > 0
-                && snap.cursor.saturating_sub(last_saved) >= policy.every_subframes;
+            let interval_due = save_due(policy.every_subframes, last_saved, snap.cursor);
             // Clean shutdown always persists, so a later `--resume`
             // returns the completed run instead of recomputing it.
             if interval_due || !more {
@@ -771,14 +757,7 @@ pub(crate) mod tests {
     #[test]
     fn appearance_triggers_drift_and_remeasure() {
         // A strong new terminal blankets four clients mid-run.
-        let script = FaultScript::new(vec![FaultEvent {
-            at_subframe: 20_000,
-            kind: FaultKind::HtAppear {
-                q: 0.6,
-                edges: ClientSet::from_iter([0, 1, 2, 3]),
-            },
-        }]);
-        let cap = capture(script, 90, 12);
+        let cap = capture(step_change_script(), 90, 12);
         let report = run_blu_robust(&cap, &quick_config()).unwrap();
         assert!(
             report.n_remeasurements >= 1,
@@ -1326,15 +1305,13 @@ pub(crate) mod tests {
     // ------------------------------------------------------------------
 
     /// Pins, step by step, the `on_stage` / `on_infer` /
-    /// `on_state_change` / `on_stream` events a robust step emits and
-    /// the heartbeats the supervisor's watchdog counts from them, for
+    /// `on_state_change` / `on_stream` events a robust step emits, for
     /// a phased run through drift, a streaming run with refines,
     /// trace-exhausting halts in both arms, and a shed PF step.
     #[test]
     fn observer_event_sequences_are_pinned() {
         use crate::engine::{
-            CellGeometry, EngineArena, HeartbeatCounter, StageKind, StreamEvent, SubframeObserver,
-            SubframeView,
+            CellGeometry, EngineArena, StageKind, StreamEvent, SubframeObserver, SubframeView,
         };
 
         /// One step's events, decoded sub-frames folded into a count.
@@ -1342,7 +1319,6 @@ pub(crate) mod tests {
         struct Recorder {
             events: Vec<String>,
             subframes: u64,
-            beats: HeartbeatCounter,
         }
 
         impl Recorder {
@@ -1355,27 +1331,20 @@ pub(crate) mod tests {
 
             fn line(mut self, more: bool) -> String {
                 self.flush();
-                format!(
-                    "{} | beats {} | more {more}",
-                    self.events.join(", "),
-                    self.beats.beats()
-                )
+                format!("{} | more {more}", self.events.join(", "))
             }
         }
 
         impl SubframeObserver for Recorder {
             fn on_stage(&mut self, kind: StageKind) {
                 self.flush();
-                self.beats.on_stage(kind);
                 self.events.push(format!("stage {kind:?}"));
             }
-            fn on_subframe(&mut self, view: &SubframeView<'_>) {
-                self.beats.on_subframe(view);
+            fn on_subframe(&mut self, _view: &SubframeView<'_>) {
                 self.subframes += 1;
             }
             fn on_infer(&mut self, verdict: InferenceVerdict, completed: bool) {
                 self.flush();
-                self.beats.on_infer(verdict, completed);
                 self.events.push(format!("infer {verdict:?} {completed}"));
             }
             fn on_state_change(&mut self, at_subframe: u64, state: OrchestratorState) {
@@ -1434,7 +1403,7 @@ pub(crate) mod tests {
         // Generate and Schedule, then halts.
         assert_eq!(
             phased.last().unwrap(),
-            "stage Generate, stage Schedule | beats 2 | more false"
+            "stage Generate, stage Schedule | more false"
         );
 
         // Streaming: refines announce Infer after the segment.
@@ -1466,10 +1435,10 @@ pub(crate) mod tests {
         assert_eq!(
             halts,
             [
-                "stage Measure | beats 1 | more false",
-                " | beats 0 | more false",
-                "stage Generate, stage Schedule | beats 2 | more false",
-                " | beats 0 | more false",
+                "stage Measure | more false",
+                " | more false",
+                "stage Generate, stage Schedule | more false",
+                " | more false",
             ]
         );
 
@@ -1488,10 +1457,7 @@ pub(crate) mod tests {
                 snap.cursor - before.cursor,
                 snap.fallback_txops - before.fallback_txops
             ),
-            (
-                phased_cfg.check_interval_txops * geom.per_txop,
-                phased_cfg.check_interval_txops
-            )
+            (CHECK_INTERVAL_TXOPS * geom.per_txop, CHECK_INTERVAL_TXOPS)
         );
 
         // Every step's record, pinned whole.
@@ -1500,7 +1466,7 @@ pub(crate) mod tests {
                 (phased.len(), fnv(&phased)),
                 (streamed.len(), fnv(&streamed))
             ],
-            [(908, 0x6465_d1b6_62a5_a1b6), (902, 0xa793_7d4a_fbf7_f2f9)]
+            [(908, 0x7c2f_38f7_6b46_7953), (902, 0x7ab2_bc28_c61b_63a4)]
         );
     }
 
@@ -1508,7 +1474,7 @@ pub(crate) mod tests {
     // Streaming online inference under churn.
     // ------------------------------------------------------------------
 
-    fn step_change_script() -> FaultScript {
+    pub(crate) fn step_change_script() -> FaultScript {
         FaultScript::new(vec![FaultEvent {
             at_subframe: 20_000,
             kind: FaultKind::HtAppear {
@@ -1593,8 +1559,8 @@ pub(crate) mod tests {
         assert_reports_identical(&full_report, &resumed_report);
     }
 
-    #[test]
-    fn streaming_run_under_poisson_churn_applies_events() {
+    /// A 90 s capture under Poisson UE/HT churn from sub-frame 20,000.
+    pub(crate) fn churn_capture() -> FaultyCapture {
         use blu_sim::churn::{generate_churn, ChurnConfig};
         let cap_cfg = CaptureConfig {
             duration: Micros::from_secs(90),
@@ -1605,11 +1571,19 @@ pub(crate) mod tests {
         let events = generate_churn(&churn, cap_cfg.n_hts, 0xC0FF).unwrap();
         assert!(!events.is_empty(), "expected churn events at this rate");
         let script = compile_churn_script(&events, 20_000).unwrap();
-        let cap = capture_with_faults(&cap_cfg, &script, 12).unwrap();
+        capture_with_faults(&cap_cfg, &script, 12).unwrap()
+    }
 
+    /// [`quick_config`] with a 1,000-sub-frame streaming window.
+    pub(crate) fn streaming_config() -> RobustConfig {
         let mut cfg = quick_config();
         cfg.streaming = Some(StreamingConfig::new(1_000));
-        let report = run_blu_robust(&cap, &cfg).unwrap();
+        cfg
+    }
+
+    #[test]
+    fn streaming_run_under_poisson_churn_applies_events() {
+        let report = run_blu_robust(&churn_capture(), &streaming_config()).unwrap();
         assert!(
             report.stream_churn_events > 0,
             "segments crossed no churn events"
@@ -1621,19 +1595,8 @@ pub(crate) mod tests {
 
     #[test]
     fn streaming_fleet_cache_is_transparent_under_churn() {
-        use blu_sim::churn::{generate_churn, ChurnConfig};
-        let cap_cfg = CaptureConfig {
-            duration: Micros::from_secs(90),
-            q_range: (0.25, 0.55),
-            ..CaptureConfig::testbed_default()
-        };
-        let churn = ChurnConfig::with_total_rate(cap_cfg.n_ues, 60_000, 0.2);
-        let events = generate_churn(&churn, cap_cfg.n_hts, 0xC0FF).unwrap();
-        let script = compile_churn_script(&events, 20_000).unwrap();
-        let cap = capture_with_faults(&cap_cfg, &script, 12).unwrap();
-
-        let mut plain = quick_config();
-        plain.streaming = Some(StreamingConfig::new(1_000));
+        let cap = churn_capture();
+        let plain = streaming_config();
         let mut cached = plain.clone();
         cached.fleet_cache = Some(std::sync::Arc::new(
             crate::blueprint::FleetBlueprintCache::new(

@@ -214,19 +214,35 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: u64) {
         self.trips = self.trips.saturating_add(1);
-        // Exponential: base * 2^(trips-1), saturating, capped.
-        let exp = (self.trips - 1).min(32);
-        let backoff = self
-            .config
-            .base_backoff_subframes
-            .saturating_mul(1u64 << exp)
-            .min(self.config.max_backoff_subframes);
-        // Deterministic jitter in [1 - j, 1 + j).
-        let factor = 1.0 + self.config.jitter_frac * (2.0 * self.rng.f64() - 1.0);
-        let wait = ((backoff as f64 * factor) as u64).max(1);
+        let c = &self.config;
+        let wait = jittered_backoff(
+            c.base_backoff_subframes,
+            c.max_backoff_subframes,
+            c.jitter_frac,
+            self.trips,
+            &mut self.rng,
+        );
         self.open_until = now.saturating_add(wait);
         self.transition(now, BreakerState::Open);
     }
+}
+
+/// The wait before retry `attempt` (1-based), shared by the breaker
+/// (in sub-frames) and the supervisor's restart ladder (in rounds):
+/// `base * 2^(attempt-1)`, saturating, capped at `cap`, scaled by
+/// deterministic jitter in `[1 - jitter_frac, 1 + jitter_frac)` from
+/// one draw of `rng`, and at least 1.
+pub(crate) fn jittered_backoff(
+    base: u64,
+    cap: u64,
+    jitter_frac: f64,
+    attempt: u32,
+    rng: &mut DetRng,
+) -> u64 {
+    let exp = attempt.saturating_sub(1).min(32);
+    let backoff = base.saturating_mul(1u64 << exp).min(cap);
+    let factor = 1.0 + jitter_frac * (2.0 * rng.f64() - 1.0);
+    ((backoff as f64 * factor) as u64).max(1)
 }
 
 #[cfg(test)]

@@ -71,6 +71,16 @@ pub(crate) fn io_err(what: &str, path: &Path, e: impl std::fmt::Display) -> BluE
     BluError::Checkpoint(format!("{what} {}: {e}", path.display()))
 }
 
+/// Whether a cell whose cursor moved from `last_saved` to `cursor`
+/// is due an interval save: the cursor crossed a multiple of
+/// `every_subframes` (0 = never). A grid, not a distance since the
+/// last save, so the on-disk restore points are a pure function of
+/// the step sequence and a killed-and-resumed run re-creates the
+/// checkpoints of an uninterrupted one.
+pub(crate) fn save_due(every_subframes: u64, last_saved: u64, cursor: u64) -> bool {
+    every_subframes > 0 && cursor / every_subframes != last_saved / every_subframes
+}
+
 /// Atomically write `snapshot` (wrapped in the current format
 /// version) to `path` (`write_json_atomic`), then fsync the parent
 /// directory so the rename itself is durable (Unix only; other
@@ -157,7 +167,7 @@ mod tests {
     fn save_then_reopen_round_trips_durably() {
         let dir = scratch_dir("reopen");
         let path = dir.join("nested").join("cell-0.json");
-        let mut snap = RobustSnapshot::fresh(4, 10_000, 0xFEED, 0.01, BreakerConfig::default());
+        let mut snap = RobustSnapshot::fresh(4, 10_000, 0xFEED, BreakerConfig::default());
         snap.cursor = 1234;
 
         save_robust_checkpoint(&path, &snap).unwrap();
@@ -183,7 +193,7 @@ mod tests {
     fn relative_path_without_parent_saves_in_cwd_sync() {
         // `sync_parent_dir` must handle a bare filename (empty parent)
         // by syncing ".", not by erroring out.
-        let snap = RobustSnapshot::fresh(2, 1_000, 7, 0.01, BreakerConfig::default());
+        let snap = RobustSnapshot::fresh(2, 1_000, 7, BreakerConfig::default());
         let name = format!("blu-ckpt-bare-{}.json", std::process::id());
         let path = Path::new(&name);
         save_robust_checkpoint(path, &snap).unwrap();

@@ -80,8 +80,8 @@ pub use service::{capture_for_spec, snapshot_digest, BluService, ServiceConfig, 
 pub use supervisor::{
     run_supervised_fleet, run_supervised_fleet_with_hook, CellHealth, CellHealthReport,
     CellSupervisor, FailureKind, FleetHealthReport, HealthCause, HealthTransition, NullHook,
-    RestartBackoffConfig, RestartDecision, RestartSource, ShedAction, ShedEvent, SheddingPolicy,
-    SupervisedFleetOutcome, SupervisorConfig, SupervisorHook,
+    RestartDecision, RestartSource, ShedAction, ShedEvent, SheddingPolicy, SupervisedFleetOutcome,
+    SupervisorConfig, SupervisorHook,
 };
 
 #[cfg(test)]

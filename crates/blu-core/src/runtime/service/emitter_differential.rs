@@ -253,9 +253,9 @@ proptest! {
             n,
             1_000,
             micros ^ quarantined,
-            0.2,
             crate::runtime::breaker::BreakerConfig::default(),
         );
+        snap.drift = crate::robust::DriftMonitor::new(0.2, n);
         snap.peak_drift = floats[0];
         snap.pf_avg = Some(floats.clone());
         snap.inference_micros = micros;

@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::runtime::supervisor::{
-    HealthCause, HealthTransition, RestartSource, CELL_SIDECAR_VERSION,
+    HealthCause, HealthTransition, RestartSource, CELL_SIDECAR_VERSION, MAX_RESTART_WAIT_ROUNDS,
 };
 use crate::runtime::wire::{MAX_CELL_SECONDS, MAX_CHURN_MILLIHZ};
 use proptest::prelude::*;
@@ -32,10 +32,9 @@ pub(super) fn valid((a, b, c): (u64, u64, u64), events: &[u64]) -> ServeSidecar 
         version: CELL_SIDECAR_VERSION,
         health: pick(a),
         restarts_used: (a >> 8) as u32 % (sup.max_restarts + 1),
-        silent_steps: (a >> 16) as u32 % sup.stall_threshold_steps,
         crashes_fired: b % 4,
         crashes_observed: b >> 2,
-        backoff_rounds_left: c % (sup.backoff.max_wait_rounds() + 1),
+        backoff_rounds_left: c % (MAX_RESTART_WAIT_ROUNDS + 1),
         shed: c >> 63 == 1,
         shed_rounds: c >> 8,
         finished: b & 1 == 1,
@@ -124,8 +123,8 @@ fn deeply_nested_sidecars_are_typed_errors() {
     let sup = SupervisorConfig::default();
     let deep = "[".repeat(100_000);
     for text in [
-        format!("{{\"version\":2,\"transitions\":{deep}"),
-        format!("{{\"id\":0,\"cell\":{{\"version\":2,\"restart_sources\":{deep}"),
+        format!("{{\"version\":3,\"transitions\":{deep}"),
+        format!("{{\"id\":0,\"cell\":{{\"version\":3,\"restart_sources\":{deep}"),
         deep.clone(),
     ] {
         assert!(CellSidecar::decode(&text, &sup).is_err());

@@ -38,14 +38,15 @@
 //!
 //! ## Watchdog semantics
 //!
-//! Liveness is measured with a [`HeartbeatCounter`] tapped into the
-//! robust step as its observer: a step that produces zero beats did no engine work
-//! and counts as *silent*; [`SupervisorConfig::stall_threshold_steps`]
-//! consecutive silent steps fail the cell. A *hard stall* — the
-//! scripted inference stall factor at the cell's cursor reaching
+//! The stall watchdog is the *hard stall*: the scripted inference
+//! stall factor at the cell's cursor reaching
 //! [`SupervisorConfig::stall_factor_limit`] while the cell is in a
-//! measuring state — fails the step immediately: an inference running
-//! at ≥ `limit ×` its time budget is indistinguishable from a hang.
+//! measuring state fails the step immediately, since an inference
+//! running at ≥ `limit ×` its time budget is indistinguishable from a
+//! hang. There is no silent-step counter: every arm of the robust step
+//! either does engine work or, from Drifting, hands over to a
+//! Remeasuring step that does, so a step count could not tell a hung
+//! cell from a drifting one.
 //!
 //! ## Load shedding
 //!
@@ -67,15 +68,15 @@
 //! sidecar (`CellSidecar`) next to each cell checkpoint, so killing and
 //! restarting the fleet resumes bit-identically.
 
-use crate::engine::{CellGeometry, EngineArena, FleetEngine, HeartbeatCounter};
+use crate::engine::{CellGeometry, EngineArena, FleetEngine, NullObserver};
 use crate::error::BluError;
 use crate::robust::{
     check_snapshot, start_cell, step_cell_shed, step_cell_with, OrchestratorState, RobustConfig,
     RobustRunReport, RobustSnapshot,
 };
-use crate::runtime::breaker::BreakerState;
+use crate::runtime::breaker::{jittered_backoff, BreakerState};
 use crate::runtime::checkpoint::{
-    io_err, load_robust_checkpoint, save_robust_checkpoint, write_json_atomic,
+    io_err, load_robust_checkpoint, save_due, save_robust_checkpoint, write_json_atomic,
 };
 use crate::runtime::panic_message;
 use blu_sim::rng::DetRng;
@@ -87,7 +88,36 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Sidecar-format version written and required by this build.
-pub const CELL_SIDECAR_VERSION: u32 = 2;
+pub const CELL_SIDECAR_VERSION: u32 = 3;
+
+/// Rounds a cell idles after its first restart; each further restart
+/// doubles the wait, up to [`RESTART_CAP_ROUNDS`].
+pub const RESTART_BASE_ROUNDS: u64 = 2;
+
+/// Ceiling of the restart wait before jitter, in rounds.
+pub const RESTART_CAP_ROUNDS: u64 = 16;
+
+/// Restart jitter as a fraction of the wait: the actual wait is
+/// `wait * (1 ± 0.1)`, one draw of the cell's restart stream.
+pub const RESTART_JITTER_FRAC: f64 = 0.1;
+
+/// The longest wait a restart can draw: the cap at full positive
+/// jitter, ⌊16 · 1.1⌋ = 17 rounds.
+pub const MAX_RESTART_WAIT_ROUNDS: u64 =
+    (RESTART_CAP_ROUNDS as f64 * (1.0 + RESTART_JITTER_FRAC)) as u64;
+
+/// Rounds to idle after restart `attempt` (1-based): the circuit
+/// breaker's escalation formula, clocked in fleet rounds, with one
+/// draw of the cell's `rng` stream.
+pub(crate) fn restart_wait_rounds(attempt: u32, rng: &mut DetRng) -> u64 {
+    jittered_backoff(
+        RESTART_BASE_ROUNDS,
+        RESTART_CAP_ROUNDS,
+        RESTART_JITTER_FRAC,
+        attempt,
+        rng,
+    )
+}
 
 /// A supervised cell's health, as seen by the fleet supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,7 +138,7 @@ pub enum HealthCause {
     /// A panic escaped the cell's step and was caught by the
     /// supervisor.
     Panic,
-    /// The stall watchdog fired (silent steps or a hard stall).
+    /// The stall watchdog fired (a hard stall).
     Stall,
     /// The step returned a typed [`BluError`].
     Error,
@@ -189,21 +219,16 @@ pub struct CellSupervisor {
     health: CellHealth,
     restarts_used: u32,
     max_restarts: u32,
-    silent_steps: u32,
-    stall_threshold_steps: u32,
     transitions: Vec<HealthTransition>,
 }
 
 impl CellSupervisor {
-    /// A healthy supervisor with the config's retry budget and
-    /// watchdog threshold.
+    /// A healthy supervisor with the config's retry budget.
     pub fn new(config: &SupervisorConfig) -> Self {
         CellSupervisor {
             health: CellHealth::Healthy,
             restarts_used: 0,
             max_restarts: config.max_restarts,
-            silent_steps: 0,
-            stall_threshold_steps: config.stall_threshold_steps,
             transitions: Vec::new(),
         }
     }
@@ -252,30 +277,11 @@ impl CellSupervisor {
         }
     }
 
-    /// Feed one step's watchdog evidence. `heartbeats` is the step's
-    /// beat count; `hard_stalled` means the step ran inference at or
-    /// beyond the stall-factor limit. Returns the failure the fleet
-    /// loop must act on, if any.
-    pub fn note_step(
-        &mut self,
-        _at_subframe: u64,
-        heartbeats: u64,
-        hard_stalled: bool,
-    ) -> Option<FailureKind> {
-        if hard_stalled {
-            self.silent_steps = 0;
-            return Some(FailureKind::Stall);
-        }
-        if heartbeats == 0 {
-            self.silent_steps += 1;
-            if self.silent_steps >= self.stall_threshold_steps {
-                self.silent_steps = 0;
-                return Some(FailureKind::Stall);
-            }
-        } else {
-            self.silent_steps = 0;
-        }
-        None
+    /// Feed one step's watchdog evidence: `hard_stalled` means the
+    /// step ran inference at or beyond the stall-factor limit. Returns
+    /// the failure the fleet loop must act on, if any.
+    pub fn note_step(&mut self, hard_stalled: bool) -> Option<FailureKind> {
+        hard_stalled.then_some(FailureKind::Stall)
     }
 
     /// Decide what to do about a failure. Quarantined is absorbing;
@@ -294,7 +300,6 @@ impl CellSupervisor {
             return RestartDecision::Quarantine;
         }
         self.restarts_used += 1;
-        self.silent_steps = 0;
         self.transition(at_subframe, CellHealth::Restarting, kind.cause());
         RestartDecision::Restart {
             attempt: self.restarts_used,
@@ -310,70 +315,6 @@ impl CellSupervisor {
                 HealthCause::RestartComplete,
             );
         }
-    }
-}
-
-/// Restart backoff tuning, clocked in fleet rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestartBackoffConfig {
-    /// Rounds idled after the first restart.
-    pub base_rounds: u64,
-    /// Backoff ceiling, in rounds.
-    pub max_rounds: u64,
-    /// Jitter as a fraction of the backoff (the breaker's formula:
-    /// actual wait is `backoff * (1 ± jitter_frac)`).
-    pub jitter_frac: f64,
-}
-
-impl Default for RestartBackoffConfig {
-    fn default() -> Self {
-        RestartBackoffConfig {
-            base_rounds: 2,
-            max_rounds: 16,
-            jitter_frac: 0.1,
-        }
-    }
-}
-
-impl RestartBackoffConfig {
-    /// Reject configurations that would wedge the restart schedule.
-    pub fn validate(&self) -> Result<(), BluError> {
-        if self.base_rounds == 0 {
-            return Err(BluError::InvalidConfig(
-                "restart backoff base_rounds must be > 0".into(),
-            ));
-        }
-        if self.max_rounds < self.base_rounds {
-            return Err(BluError::InvalidConfig(
-                "restart backoff max_rounds must be >= base_rounds".into(),
-            ));
-        }
-        if !self.jitter_frac.is_finite() || !(0.0..1.0).contains(&self.jitter_frac) {
-            return Err(BluError::InvalidConfig(
-                "restart backoff jitter_frac must be finite in [0, 1)".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Rounds to idle after restart `attempt` (1-based): the circuit
-    /// breaker's escalation formula re-clocked in fleet rounds —
-    /// `base * 2^(attempt-1)`, saturating, capped, ±jitter from one
-    /// draw of the cell's `rng` stream, at least 1.
-    pub(crate) fn wait_rounds(&self, attempt: u32, rng: &mut DetRng) -> u64 {
-        let exp = attempt.saturating_sub(1).min(32);
-        let backoff = self
-            .base_rounds
-            .saturating_mul(1u64 << exp)
-            .min(self.max_rounds);
-        let factor = 1.0 + self.jitter_frac * (2.0 * rng.f64() - 1.0);
-        ((backoff as f64 * factor) as u64).max(1)
-    }
-
-    /// The longest wait `wait_rounds` can draw: the cap at full
-    /// positive jitter.
-    pub fn max_wait_rounds(&self) -> u64 {
-        (self.max_rounds as f64 * (1.0 + self.jitter_frac)) as u64
     }
 }
 
@@ -446,13 +387,9 @@ pub struct ShedEvent {
 pub struct SupervisorConfig {
     /// Restarts granted per cell before quarantine.
     pub max_restarts: u32,
-    /// Consecutive zero-heartbeat steps that count as a stall.
-    pub stall_threshold_steps: u32,
     /// Scripted inference stall factor at which a measuring step is
     /// treated as hung (hard stall) and failed immediately.
     pub stall_factor_limit: u32,
-    /// Post-restore idle schedule.
-    pub backoff: RestartBackoffConfig,
     /// Optional admission control (None = never shed).
     pub shedding: Option<SheddingPolicy>,
     /// Stop gracefully after this many rounds, persisting all state
@@ -464,9 +401,7 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_restarts: 3,
-            stall_threshold_steps: 6,
             stall_factor_limit: 8,
-            backoff: RestartBackoffConfig::default(),
             shedding: None,
             max_rounds: None,
         }
@@ -474,19 +409,13 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Up-front validation (watchdog, backoff, shedding).
+    /// Up-front validation (watchdog, shedding).
     pub fn validate(&self, n_cells: usize) -> Result<(), BluError> {
-        if self.stall_threshold_steps == 0 {
-            return Err(BluError::InvalidConfig(
-                "supervisor stall_threshold_steps must be > 0".into(),
-            ));
-        }
         if self.stall_factor_limit < 2 {
             return Err(BluError::InvalidConfig(
                 "supervisor stall_factor_limit must be >= 2 (1 is healthy)".into(),
             ));
         }
-        self.backoff.validate()?;
         if let Some(shed) = &self.shedding {
             shed.validate(n_cells)?;
         }
@@ -590,7 +519,6 @@ pub(crate) struct CellSidecar {
     pub(crate) version: u32,
     pub(crate) health: CellHealth,
     pub(crate) restarts_used: u32,
-    pub(crate) silent_steps: u32,
     pub(crate) crashes_fired: u64,
     pub(crate) crashes_observed: u64,
     pub(crate) backoff_rounds_left: u64,
@@ -630,17 +558,15 @@ impl CellSidecar {
                 Err(format!("sidecar {field} {value} exceeds {max}"))
             }
         };
-        let silent_max = sup.stall_threshold_steps.saturating_sub(1);
         within(
             "restarts_used",
             self.restarts_used.into(),
             sup.max_restarts.into(),
         )?;
-        within("silent_steps", self.silent_steps.into(), silent_max.into())?;
         within(
             "backoff_rounds_left",
             self.backoff_rounds_left,
-            sup.backoff.max_wait_rounds(),
+            MAX_RESTART_WAIT_ROUNDS,
         )
     }
 
@@ -669,11 +595,7 @@ enum StepOutcome {
     /// Nothing ran (finished, or idling through a backoff).
     Idle,
     /// The step ran to a verdict.
-    Progress {
-        more: bool,
-        heartbeats: u64,
-        hard_stalled: bool,
-    },
+    Progress { more: bool, hard_stalled: bool },
     /// A panic escaped the step and was caught.
     Panicked(String),
     /// The step returned a typed error.
@@ -681,13 +603,9 @@ enum StepOutcome {
 }
 
 impl StepOutcome {
-    fn of(result: std::thread::Result<Result<(bool, u64), BluError>>, hard_stalled: bool) -> Self {
+    fn of(result: std::thread::Result<Result<bool, BluError>>, hard_stalled: bool) -> Self {
         match result {
-            Ok(Ok((more, heartbeats))) => StepOutcome::Progress {
-                more,
-                heartbeats,
-                hard_stalled,
-            },
+            Ok(Ok(more)) => StepOutcome::Progress { more, hard_stalled },
             Ok(Err(e)) => StepOutcome::Failed(e.to_string()),
             Err(p) => StepOutcome::Panicked(panic_message(p.as_ref())),
         }
@@ -707,7 +625,6 @@ pub(crate) struct SupervisedCell<'a> {
     /// Recycled engine buffers: pure cache, never persisted.
     arena: EngineArena,
     pub(crate) sup: CellSupervisor,
-    backoff: RestartBackoffConfig,
     /// Restart jitter: one draw per granted restart.
     backoff_rng: DetRng,
     backoff_rounds_left: u64,
@@ -749,7 +666,6 @@ impl<'a> SupervisedCell<'a> {
             snap,
             arena: EngineArena::new(),
             sup: CellSupervisor::new(sup),
-            backoff: sup.backoff,
             backoff_rng,
             backoff_rounds_left: 0,
             priority,
@@ -828,10 +744,9 @@ impl<'a> SupervisedCell<'a> {
             self.crashes_fired = self.crash_sfs.iter().filter(|s| **s < cursor).count();
             return Ok(());
         };
-        // The retry budget and watchdog threshold stay as configured.
+        // The retry budget stays as configured.
         self.sup.health = side.health;
         self.sup.restarts_used = side.restarts_used;
-        self.sup.silent_steps = side.silent_steps;
         self.sup.transitions = side.transitions;
         for _ in 0..side.restarts_used {
             self.backoff_rng.f64();
@@ -862,7 +777,6 @@ impl<'a> SupervisedCell<'a> {
             version: CELL_SIDECAR_VERSION,
             health: self.sup.health(),
             restarts_used: self.sup.restarts_used(),
-            silent_steps: self.sup.silent_steps,
             crashes_fired: self.crashes_fired as u64,
             crashes_observed: self.crashes_observed,
             backoff_rounds_left: self.backoff_rounds_left,
@@ -923,7 +837,7 @@ impl<'a> SupervisedCell<'a> {
             let (snap, arena) = (&mut self.snap, &mut self.arena);
             StepOutcome::of(
                 catch_unwind(AssertUnwindSafe(|| {
-                    step_cell_shed(capture, config, snap, arena).map(|more| (more, 1))
+                    step_cell_shed(capture, config, snap, arena)
                 })),
                 false,
             )
@@ -958,9 +872,7 @@ impl<'a> SupervisedCell<'a> {
             if inject {
                 panic!("injected cell crash at subframe {cursor}");
             }
-            let mut beats = HeartbeatCounter::default();
-            step_cell_with(capture, config, geom, snap, arena, &mut beats)
-                .map(|more| (more, beats.beats()))
+            step_cell_with(capture, config, geom, snap, arena, &mut NullObserver)
         }));
         StepOutcome::of(result, hard_stalled)
     }
@@ -970,18 +882,14 @@ impl<'a> SupervisedCell<'a> {
     fn settle(&mut self) {
         match std::mem::replace(&mut self.outcome, StepOutcome::Idle) {
             StepOutcome::Idle => {}
-            StepOutcome::Progress {
-                more,
-                heartbeats,
-                hard_stalled,
-            } => {
+            StepOutcome::Progress { more, hard_stalled } => {
                 if !more {
                     self.finished = true;
                 } else if self.sup.health() != CellHealth::Quarantined && !self.shed {
                     let cursor = self.snap.cursor;
                     let open = self.snap.breaker.state() == BreakerState::Open;
                     self.sup.note_breaker(cursor, open);
-                    if let Some(kind) = self.sup.note_step(cursor, heartbeats, hard_stalled) {
+                    if let Some(kind) = self.sup.note_step(hard_stalled) {
                         self.fail(kind);
                     }
                 }
@@ -1004,7 +912,7 @@ impl<'a> SupervisedCell<'a> {
             RestartDecision::Restart { attempt } => {
                 let source = self.restore();
                 self.restart_sources.push(source);
-                self.backoff_rounds_left = self.backoff.wait_rounds(attempt, &mut self.backoff_rng);
+                self.backoff_rounds_left = restart_wait_rounds(attempt, &mut self.backoff_rng);
             }
             // A quarantined cell failing its PF drain has no further
             // fallback: freeze it rather than livelock.
@@ -1035,13 +943,11 @@ impl<'a> SupervisedCell<'a> {
             self.snap = snap;
             return RestartSource::MemorySnapshot;
         }
-        let config = &self.config;
         self.snap = RobustSnapshot::fresh(
             self.geom.n,
             self.geom.trace_len,
-            config.seed,
-            config.drift_alpha,
-            config.breaker,
+            self.config.seed,
+            self.config.breaker,
         );
         RestartSource::Fresh
     }
@@ -1060,14 +966,7 @@ impl<'a> SupervisedCell<'a> {
         if self.finished && self.final_saved {
             return Ok(false);
         }
-        // Grid semantics, not delta-since-last-save: a save fires
-        // when the cursor crosses a multiple of `every_subframes`, so
-        // the set of on-disk restore points is a pure function of the
-        // step sequence — a killed-and-resumed fleet re-creates the
-        // exact checkpoints (and therefore the exact restore cursors)
-        // of an uninterrupted one.
-        let every = files.every_subframes;
-        let interval_due = every > 0 && self.snap.cursor / every != self.last_saved / every;
+        let interval_due = save_due(files.every_subframes, self.last_saved, self.snap.cursor);
         if !(interval_due || self.finished || force) {
             return Ok(false);
         }
@@ -1346,7 +1245,10 @@ pub fn run_supervised_fleet_with_hook(
 mod tests {
     use super::*;
     use crate::robust::run_robust_fleet;
-    use crate::robust::tests::{assert_reports_identical, capture, quick_config};
+    use crate::robust::tests::{
+        assert_reports_identical, capture, churn_capture, quick_config, step_change_script,
+        streaming_config,
+    };
     use blu_sim::faults::{FaultEvent, FaultKind, FaultScript};
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -1390,19 +1292,12 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_fires_on_silence_and_hard_stall() {
-        let cfg = SupervisorConfig {
-            stall_threshold_steps: 3,
-            ..Default::default()
-        };
-        let mut m = CellSupervisor::new(&cfg);
-        assert_eq!(m.note_step(0, 0, false), None);
-        assert_eq!(m.note_step(1, 5, false), None, "beats reset the counter");
-        assert_eq!(m.note_step(2, 0, false), None);
-        assert_eq!(m.note_step(3, 0, false), None);
-        assert_eq!(m.note_step(4, 0, false), Some(FailureKind::Stall));
-        // A hard stall fails immediately, regardless of beats.
-        assert_eq!(m.note_step(5, 100, true), Some(FailureKind::Stall));
+    fn watchdog_fires_on_hard_stall() {
+        let mut m = CellSupervisor::new(&SupervisorConfig::default());
+        assert_eq!(m.note_step(false), None);
+        // A hard stall fails immediately, every time.
+        assert_eq!(m.note_step(true), Some(FailureKind::Stall));
+        assert_eq!(m.note_step(true), Some(FailureKind::Stall));
     }
 
     #[test]
@@ -1445,14 +1340,15 @@ mod tests {
 
     #[test]
     fn backoff_escalates_caps_and_replays_deterministically() {
-        let cfg = RestartBackoffConfig::default();
         let rng = DetRng::seed_from_u64(9).derive_indexed("restart-backoff", 0);
         let mut a = rng.clone();
-        let waits: Vec<u64> = (1..=8).map(|n| cfg.wait_rounds(n, &mut a)).collect();
+        let waits: Vec<u64> = (1..=8).map(|n| restart_wait_rounds(n, &mut a)).collect();
         assert!(waits.iter().all(|w| *w >= 1));
-        let cap = (cfg.max_rounds as f64 * (1.0 + cfg.jitter_frac)) as u64 + 1;
-        assert!(waits.iter().all(|w| *w <= cap), "{waits:?} exceeds cap");
-        assert!(waits.iter().all(|w| *w <= cfg.max_wait_rounds()));
+        assert_eq!(MAX_RESTART_WAIT_ROUNDS, 17);
+        assert!(
+            waits.iter().all(|w| *w <= MAX_RESTART_WAIT_ROUNDS),
+            "{waits:?} exceeds the longest wait"
+        );
         assert!(
             waits[3] > waits[0],
             "backoff must escalate: {:?}",
@@ -1464,33 +1360,48 @@ mod tests {
         for _ in 0..5 {
             b.f64();
         }
-        assert_eq!(cfg.wait_rounds(6, &mut b), waits[5]);
-        assert_eq!(cfg.wait_rounds(7, &mut b), waits[6]);
+        assert_eq!(restart_wait_rounds(6, &mut b), waits[5]);
+        assert_eq!(restart_wait_rounds(7, &mut b), waits[6]);
     }
 
     // ---- end to end ----
 
+    /// Supervision is invisible on cells that never fail: clean
+    /// cells, a cell that drifts and re-measures (the Drifting arm
+    /// emits no stage of its own; `appearance_triggers_drift_and_remeasure`
+    /// pins that it drifts), and a streaming cell under churn
+    /// (`streaming_run_under_poisson_churn_applies_events` pins its
+    /// refines and churn events).
     #[test]
     fn supervised_clean_fleet_matches_unsupervised() {
-        let caps = vec![
+        let clean = vec![
             capture(FaultScript::none(), 60, 21),
             capture(FaultScript::none(), 60, 22),
         ];
-        let config = quick_config();
-        let golden = run_robust_fleet(&caps, &config);
-        let out = run_supervised_fleet(&caps, &config, &SupervisorConfig::default()).unwrap();
-        assert!(out.health.completed);
-        assert_eq!(out.reports.len(), 2);
-        for (got, want) in out.reports.iter().zip(&golden) {
-            assert_reports_identical(got, want.as_ref().unwrap());
+        let drifting = vec![capture(step_change_script(), 90, 12)];
+        let churned = vec![churn_capture()];
+        for (caps, config) in [
+            (clean, quick_config()),
+            (drifting, quick_config()),
+            (churned, streaming_config()),
+        ] {
+            let golden = run_robust_fleet(&caps, &config);
+            let out = run_supervised_fleet(&caps, &config, &SupervisorConfig::default()).unwrap();
+            assert!(out.health.completed);
+            assert_eq!(out.reports.len(), caps.len());
+            for (got, want) in out.reports.iter().zip(&golden) {
+                assert_reports_identical(got, want.as_ref().unwrap());
+            }
+            for cell in &out.health.cells {
+                assert_eq!(cell.final_health, CellHealth::Healthy);
+                assert_eq!(cell.restarts, 0);
+                assert_eq!(cell.crashes_observed, 0);
+                assert!(cell.transitions.is_empty());
+                assert!(cell.restart_sources.is_empty());
+            }
+            assert!(out.health.shed_events.is_empty());
+            assert_eq!(out.health.total_restarts(), 0);
         }
-        for cell in &out.health.cells {
-            assert_eq!(cell.final_health, CellHealth::Healthy);
-            assert_eq!(cell.restarts, 0);
-            assert_eq!(cell.crashes_observed, 0);
-            assert!(cell.transitions.is_empty());
-        }
-        assert!(out.health.shed_events.is_empty());
     }
 
     #[test]
@@ -1686,18 +1597,7 @@ mod tests {
         let n = 2;
         for bad in [
             SupervisorConfig {
-                stall_threshold_steps: 0,
-                ..Default::default()
-            },
-            SupervisorConfig {
                 stall_factor_limit: 1,
-                ..Default::default()
-            },
-            SupervisorConfig {
-                backoff: RestartBackoffConfig {
-                    base_rounds: 0,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             SupervisorConfig {

@@ -5,11 +5,15 @@
 //! cell waits out its persisted backoff before stepping again. A
 //! sidecar claiming `u32::MAX` restarts would cost billions of draws
 //! before the fleet starts, and a `u64::MAX` wait would park the cell
-//! for good; each must be a typed `BluError::Checkpoint` instead.
+//! for good; each must be a typed `BluError::Checkpoint` instead. So
+//! must a sidecar of an older format version: version 2 carried the
+//! silent-step counter that version 3 dropped.
 
 use blu_core::orchestrator::BluConfig;
 use blu_core::robust::{CheckpointPolicy, RobustConfig};
-use blu_core::runtime::supervisor::{run_supervised_fleet, SupervisorConfig};
+use blu_core::runtime::supervisor::{
+    run_supervised_fleet, SupervisorConfig, CELL_SIDECAR_VERSION, MAX_RESTART_WAIT_ROUNDS,
+};
 use blu_core::runtime::wire::{roundtrip, CellSpec, Request, Response, DEFAULT_MAX_FRAME};
 use blu_core::runtime::{capture_for_spec, BluService, ServiceConfig};
 use blu_core::{BluError, EmulationConfig};
@@ -39,29 +43,40 @@ fn set_field(path: &Path, field: &str, value: u64) {
     std::fs::write(path, edited).unwrap();
 }
 
-fn expect_checkpoint_error<T>(result: Result<T, BluError>, field: &str) {
+fn expect_checkpoint_error<T>(result: Result<T, BluError>, names: &str) {
     match result {
-        Err(BluError::Checkpoint(msg)) => assert!(msg.contains(field), "{msg}"),
-        Err(e) => panic!("expected a Checkpoint error naming {field}, got {e}"),
-        Ok(_) => panic!("a sidecar with an out-of-bounds {field} must not resume"),
+        Err(BluError::Checkpoint(msg)) => assert!(msg.contains(names), "{msg}"),
+        Err(e) => panic!("expected a Checkpoint error naming {names:?}, got {e}"),
+        Ok(_) => panic!("a sidecar refused for {names:?} must not resume"),
     }
 }
 
-/// The largest values resume must refuse, with the default config's
-/// bounds: 3 restarts, and a longest wait of ⌊16 · 1.1⌋ = 17 rounds.
-fn hostile_fields() -> [(&'static str, u64); 4] {
+/// The values resume must refuse, each with what the error names:
+/// with the default config's bounds, 3 restarts and a longest wait of
+/// ⌊16 · 1.1⌋ = 17 rounds; and the previous format version.
+fn hostile_fields() -> [(&'static str, u64, &'static str); 5] {
     let sup = SupervisorConfig::default();
     [
-        ("restarts_used", u64::from(sup.max_restarts) + 1),
-        ("restarts_used", u64::from(u32::MAX)),
-        ("backoff_rounds_left", sup.backoff.max_wait_rounds() + 1),
-        ("backoff_rounds_left", u64::MAX),
+        (
+            "restarts_used",
+            u64::from(sup.max_restarts) + 1,
+            "restarts_used",
+        ),
+        ("restarts_used", u64::from(u32::MAX), "restarts_used"),
+        (
+            "backoff_rounds_left",
+            MAX_RESTART_WAIT_ROUNDS + 1,
+            "backoff_rounds_left",
+        ),
+        ("backoff_rounds_left", u64::MAX, "backoff_rounds_left"),
+        ("version", 2, "sidecar has version 2, this build requires 3"),
     ]
 }
 
 #[test]
 fn batch_resume_refuses_out_of_bounds_sidecars() {
-    assert_eq!(SupervisorConfig::default().backoff.max_wait_rounds(), 17);
+    assert_eq!(MAX_RESTART_WAIT_ROUNDS, 17);
+    assert_eq!(CELL_SIDECAR_VERSION, 3);
     let capture = capture_for_spec(&CellSpec::new(21, 10)).unwrap();
     let dir = scratch_dir("batch");
     let config = |resume| {
@@ -85,11 +100,11 @@ fn batch_resume_refuses_out_of_bounds_sidecars() {
         )
     };
     let sidecar = dir.join("cell-0.sup.json");
-    for (field, value) in hostile_fields() {
+    for (field, value, names) in hostile_fields() {
         let _ = std::fs::remove_dir_all(&dir);
         run(false, 2).unwrap();
         set_field(&sidecar, field, value);
-        expect_checkpoint_error(run(true, 1), field);
+        expect_checkpoint_error(run(true, 1), names);
     }
     // The bound itself is a wait the config can draw: it resumes.
     run(false, 2).unwrap();
@@ -107,7 +122,7 @@ fn daemon_resume_refuses_out_of_bounds_sidecars() {
         BluService::start(config)
     };
     let sidecar = dir.join("cell-0.serve.json");
-    for (field, value) in hostile_fields() {
+    for (field, value, names) in hostile_fields() {
         let _ = std::fs::remove_dir_all(&dir);
         let handle = service(false).expect("daemon starts");
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
@@ -122,7 +137,7 @@ fn daemon_resume_refuses_out_of_bounds_sidecars() {
         handle.shutdown();
         handle.wait().unwrap();
         set_field(&sidecar, field, value);
-        expect_checkpoint_error(service(true), field);
+        expect_checkpoint_error(service(true), names);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

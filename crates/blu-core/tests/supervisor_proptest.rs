@@ -10,8 +10,8 @@
 //!   decreases and never exceeds the configured maximum;
 //! * `Quarantined` is **absorbing** within a run: once entered, no
 //!   input sequence leaves it or records further transitions;
-//! * watchdog bookkeeping never fires a stall before
-//!   `stall_threshold_steps` consecutive silent steps.
+//! * the watchdog fires a stall on every hard-stalled step and on no
+//!   other step.
 
 use blu_core::runtime::supervisor::{
     CellHealth, CellSupervisor, FailureKind, HealthCause, RestartDecision, SupervisorConfig,
@@ -22,28 +22,25 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, Copy)]
 enum Input {
     Breaker { open: bool },
-    Step { heartbeats: u64, hard_stalled: bool },
+    Step { hard_stalled: bool },
     Failure(FailureKind),
     RestartComplete,
 }
 
 fn input_strategy() -> impl Strategy<Value = Input> {
-    // (which arm, breaker-open, heartbeats, hard-stalled, which kind)
-    (0u8..4, any::<bool>(), 0u64..3, any::<bool>(), 0u8..3).prop_map(
-        |(arm, open, heartbeats, hard_stalled, kind)| match arm {
+    // (which arm, breaker-open, hard-stalled, which kind)
+    (0u8..4, any::<bool>(), any::<bool>(), 0u8..3).prop_map(|(arm, open, hard_stalled, kind)| {
+        match arm {
             0 => Input::Breaker { open },
-            1 => Input::Step {
-                heartbeats,
-                hard_stalled,
-            },
+            1 => Input::Step { hard_stalled },
             2 => Input::Failure(match kind {
                 0 => FailureKind::Panic,
                 1 => FailureKind::Stall,
                 _ => FailureKind::Error,
             }),
             _ => Input::RestartComplete,
-        },
-    )
+        }
+    })
 }
 
 /// The machine's legal edge set: anything else is a bug.
@@ -74,40 +71,28 @@ proptest! {
     #[test]
     fn random_evidence_never_reaches_an_illegal_state(
         max_restarts in 0u32..5,
-        threshold in 1u32..5,
         inputs in proptest::collection::vec(input_strategy(), 0..200),
     ) {
         let config = SupervisorConfig {
             max_restarts,
-            stall_threshold_steps: threshold,
             ..Default::default()
         };
         let mut m = CellSupervisor::new(&config);
         let mut prev_restarts = 0u32;
         let mut quarantined_at: Option<usize> = None;
-        let mut silent_run = 0u64;
 
         for (sf, input) in inputs.iter().enumerate() {
             let before = m.health();
             let transitions_before = m.transitions().len();
             match *input {
                 Input::Breaker { open } => m.note_breaker(sf as u64, open),
-                Input::Step { heartbeats, hard_stalled } => {
-                    let fired = m.note_step(sf as u64, heartbeats, hard_stalled);
+                Input::Step { hard_stalled } => {
+                    let fired = m.note_step(hard_stalled);
                     if hard_stalled {
                         prop_assert_eq!(fired, Some(FailureKind::Stall),
                             "a hard stall must fire immediately");
-                        silent_run = 0;
-                    } else if heartbeats == 0 {
-                        silent_run += 1;
-                        if fired.is_some() {
-                            prop_assert!(silent_run >= u64::from(threshold),
-                                "stall fired after only {} silent steps", silent_run);
-                            silent_run = 0;
-                        }
                     } else {
-                        prop_assert_eq!(fired, None, "a live step never fires the watchdog");
-                        silent_run = 0;
+                        prop_assert_eq!(fired, None, "only a hard stall fires the watchdog");
                     }
                 }
                 Input::Failure(kind) => {

@@ -455,6 +455,11 @@ pub fn reports_equivalent(a: &RobustRunReport, b: &RobustRunReport) -> bool {
         && a.inference_panics == b.inference_panics
         && a.deadline_misses == b.deadline_misses
         && a.quarantined_constraints == b.quarantined_constraints
+        && a.stream_refines == b.stream_refines
+        && a.stream_refines_installed == b.stream_refines_installed
+        && a.stream_fallback_remeasurements == b.stream_fallback_remeasurements
+        && a.stream_churn_events == b.stream_churn_events
+        && a.stream_window_occupancy == b.stream_window_occupancy
 }
 
 /// Check the recovery contract. Returns a human-readable violation
