@@ -37,7 +37,11 @@ VERBS:
         [--window <sf>]            streaming observation-window capacity
                                    (default 0 = phased loop)
     remove --cell <id>             final checkpoint, then retire the cell
-    step --rounds <n>              advance the fleet n rounds
+    step --rounds <n>              advance the fleet n rounds; Done once
+                                   they are run, every cell is done, or
+                                   a shutdown ends them. Other commands
+                                   are answered between the rounds; a
+                                   second step waits for this one
     status                         full JSON status report, including each
                                    streaming cell's window occupancy
     digest                         one `cell-<id> <fnv64>` line per cell

@@ -34,6 +34,7 @@ use blu_sim::rng::DetRng;
 use blu_sim::time::{Micros, SubframeIndex, SUBFRAME_US};
 use blu_traces::schema::TestbedTrace;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// How the engine acquires TxOPs for a segment.
 pub enum AccessMode<'m> {
@@ -66,6 +67,27 @@ fn rb_jitter(seed: u64, ue: usize, rb: usize, block: u64, amp: f64) -> f64 {
     rng.range_f64(-amp, amp)
 }
 
+/// CQI rows of the Release-10 MCS table.
+const RELEASE10_CQIS: usize = 15;
+
+/// The Release-10 table's linear decode floors
+/// ([`McsTable::linear_decode_floors`]), computed once per process.
+/// The robust loop builds an engine for every short segment, and the
+/// floors' bisection (64 `log10` steps per CQI row) would otherwise
+/// run with each build. The floors live in static memory, not on the
+/// heap: a block that lives as long as the process would pin the top
+/// of the heap of whichever thread first built an engine (a daemon's
+/// engine thread, say), and that heap could then never shrink.
+fn release10_decode_floors() -> &'static [f64; RELEASE10_CQIS] {
+    static FLOORS: OnceLock<[f64; RELEASE10_CQIS]> = OnceLock::new();
+    FLOORS.get_or_init(|| {
+        let floors = McsTable::release10().linear_decode_floors();
+        floors
+            .try_into()
+            .expect("the Release-10 table has 15 CQI rows")
+    })
+}
+
 /// The per-cell sub-frame engine: owns PF state and drives a
 /// scheduler over a trace segment.
 pub struct CellEngine<'a> {
@@ -81,7 +103,7 @@ pub struct CellEngine<'a> {
     /// fed the `10·log10(max(·, 1e-12))` conversion (see
     /// [`McsTable::linear_decode_floors`]) — the hot decode compares
     /// in the linear domain and skips a `log10` per member.
-    dec_floor_mw: Vec<f64>,
+    dec_floor_mw: &'static [f64],
     averager: PfAverager,
     /// Per-client buffered bits (finite-buffer mode only).
     queues: Vec<f64>,
@@ -118,13 +140,11 @@ impl<'a> CellEngine<'a> {
             )));
         }
         let n = trace.ground_truth.n_clients;
-        let mcs = McsTable::release10();
-        let dec_floor_mw = mcs.linear_decode_floors();
         Ok(CellEngine {
             trace,
             averager: PfAverager::new(n, config.pf_alpha),
-            mcs,
-            dec_floor_mw,
+            mcs: McsTable::release10(),
+            dec_floor_mw: release10_decode_floors(),
             queues: vec![0.0; n],
             traffic_rng: DetRng::seed_from_u64(config.seed ^ 0x007A_FF1C),
             n_txops: config.n_txops,
@@ -728,6 +748,21 @@ impl<'a> CellEngine<'a> {
             scheduler: scheduler.name(),
             metrics,
             wall_clock: contended.then_some(now),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cached_decode_floors_equal_a_fresh_computation_bit_for_bit() {
+        let floors = release10_decode_floors();
+        let fresh_floors = McsTable::release10().linear_decode_floors();
+        assert_eq!(floors.len(), fresh_floors.len());
+        for (cached, fresh) in floors.iter().zip(&fresh_floors) {
+            assert_eq!(cached.to_bits(), fresh.to_bits());
         }
     }
 }

@@ -21,6 +21,15 @@
 //!   queue growing without bound. Inference overload sheds
 //!   lowest-priority cells to PF fallback between watermarks and
 //!   re-admits them as pressure drops.
+//! * **No command held hostage** — a `Step { rounds }` is work the
+//!   engine owes, run one fleet round at a time. Between rounds the
+//!   engine answers every command already queued, in arrival order,
+//!   so a `Status` waits for one round, not for the whole burst. A
+//!   second `Step` is held and nothing more is read until the owed
+//!   step replies: the engine holds at most one owed and one held
+//!   command beyond `queue_depth`. `Shutdown` ends the owed step
+//!   (answered `Done`) before its `Bye`; a cell admitted mid-step
+//!   joins the remaining rounds.
 //! * **Supervision** — each resident cell is the batch fleet's
 //!   supervised cell, stepped by the same fleet round: contained
 //!   panics, stalls and step errors restart it through the disk →
@@ -546,101 +555,76 @@ impl Engine {
         out
     }
 
-    /// Handle one command. Returns `true` when the daemon must shut
-    /// down after replying.
-    fn handle(&mut self, req: Request) -> (Response, bool) {
-        match req {
-            Request::Hello { version } => (hello(version, &self.shared), false),
-            Request::AddCell { spec } => {
-                if self.draining {
-                    self.counters.rejections += 1;
-                    return (
-                        Response::Rejected {
-                            reason: "daemon is draining: admissions are closed".into(),
-                        },
-                        false,
-                    );
-                }
-                if self.fleet.cells.len() >= self.config.max_cells {
-                    self.counters.rejections += 1;
-                    return (
-                        Response::Rejected {
-                            reason: format!(
-                                "admission budget exhausted: {} of {} cells resident",
-                                self.fleet.cells.len(),
-                                self.config.max_cells
-                            ),
-                        },
-                        false,
-                    );
-                }
-                let id = self.next_id;
-                match ServeCell::create(id, spec, &self.config) {
-                    Ok(cell) => {
-                        // The sidecar lands at admission time: the
-                        // fleet roster must survive a kill -9 that
-                        // beats the cell's first grid checkpoint.
-                        let frame = ServeSidecar::framing(id, &cell.spec);
-                        if let Err(e) = cell.cell.save_sidecar(frame) {
-                            eprintln!("blu serve: admission sidecar for cell {id} failed: {e}");
-                        }
-                        self.next_id += 1;
-                        self.counters.admissions += 1;
-                        self.fleet.cells.push(cell);
-                        (Response::Done { cell: Some(id) }, false)
-                    }
-                    Err(e) => (
-                        Response::Error {
-                            message: e.to_string(),
-                        },
-                        false,
-                    ),
-                }
-            }
+    /// Handle one command.
+    fn handle(&mut self, req: Request) -> Outcome {
+        let resp = match req {
+            Request::Hello { version } => hello(version, &self.shared),
+            Request::AddCell { spec } => self.admit(spec),
             Request::RemoveCell { cell } => {
                 let Some(pos) = self.fleet.cells.iter().position(|c| c.id == cell) else {
-                    return (
-                        Response::Error {
-                            message: format!("no resident cell with id {cell}"),
-                        },
-                        false,
-                    );
+                    return Outcome::Reply(Response::Error {
+                        message: format!("no resident cell with id {cell}"),
+                    });
                 };
                 // `Vec::remove` keeps the others in id order.
                 let _ = self.fleet.cells.remove(pos).persist(true);
-                (Response::Done { cell: Some(cell) }, false)
+                Response::Done { cell: Some(cell) }
             }
-            Request::Step { rounds } => {
-                for _ in 0..rounds {
-                    // A stop signal interrupts a long burst: the
-                    // graceful path must not wait out a
-                    // `step --rounds 100000`.
-                    if self.stop.load(Ordering::SeqCst) || self.fleet.all_finished() {
-                        break;
-                    }
-                    self.step_round();
-                }
-                (Response::Done { cell: None }, false)
-            }
-            Request::Status => (Response::Status(self.status_report()), false),
-            Request::Metrics => (
-                Response::Metrics {
-                    text: self.metrics_text(),
-                },
-                false,
-            ),
+            Request::Step { rounds } => return Outcome::Owe(rounds),
+            Request::Status => Response::Status(self.status_report()),
+            Request::Metrics => Response::Metrics {
+                text: self.metrics_text(),
+            },
             Request::Snapshot => {
                 let _ = self.fleet.persist_all(true, &mut NullHook);
-                (Response::Done { cell: None }, false)
+                Response::Done { cell: None }
             }
             Request::Drain => {
                 self.draining = true;
-                (Response::Done { cell: None }, false)
+                Response::Done { cell: None }
             }
             Request::Shutdown => {
                 self.draining = true;
-                (Response::Bye, true)
+                return Outcome::Shutdown;
             }
+        };
+        Outcome::Reply(resp)
+    }
+
+    /// `AddCell`: admit the cell within the budget, unless draining.
+    fn admit(&mut self, spec: CellSpec) -> Response {
+        if self.draining {
+            self.counters.rejections += 1;
+            return Response::Rejected {
+                reason: "daemon is draining: admissions are closed".into(),
+            };
+        }
+        if self.fleet.cells.len() >= self.config.max_cells {
+            self.counters.rejections += 1;
+            return Response::Rejected {
+                reason: format!(
+                    "admission budget exhausted: {} of {} cells resident",
+                    self.fleet.cells.len(),
+                    self.config.max_cells
+                ),
+            };
+        }
+        let id = self.next_id;
+        match ServeCell::create(id, spec, &self.config) {
+            Ok(cell) => {
+                // The sidecar lands at admission time: the fleet roster
+                // must survive a kill -9 that beats the cell's first
+                // grid checkpoint.
+                let frame = ServeSidecar::framing(id, &cell.spec);
+                if let Err(e) = cell.cell.save_sidecar(frame) {
+                    eprintln!("blu serve: admission sidecar for cell {id} failed: {e}");
+                }
+                self.next_id += 1;
+                self.counters.admissions += 1;
+                self.fleet.cells.push(cell);
+                Response::Done { cell: Some(id) }
+            }
+            Err(e) => error_response(&e),
         }
     }
 
@@ -648,42 +632,131 @@ impl Engine {
     /// the fleet steps on cadence (when configured), and a stop
     /// signal or `Shutdown` command triggers the graceful path —
     /// close admissions, force-persist every cell, exit.
+    ///
+    /// A `Step` is owed work, not a loop inside one command: the
+    /// engine runs it one round at a time and, between rounds,
+    /// answers every command already queued, in arrival order. A
+    /// second `Step` is held, and nothing more is read until the owed
+    /// one has replied, so the engine holds at most one owed and one
+    /// held command beyond the queue's depth.
     fn run(mut self, rx: Receiver<Envelope>) -> Result<(), BluError> {
         let cadence =
             (self.config.cadence_ms > 0).then(|| Duration::from_millis(self.config.cadence_ms));
         let poll = cadence.unwrap_or(Duration::from_millis(25));
         let mut next_round = Instant::now() + poll;
+        let mut owed: Option<OwedStep> = None;
+        let mut held: Option<OwedStep> = None;
+        // Queue reads since the owed step's last round. The queue is
+        // FIFO and holds at most `queue_depth`, so that many reads take
+        // every command queued when the round ended, and clients that
+        // keep the queue busy cannot starve the step.
+        let mut served = 0;
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let wait = next_round.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(envelope) => {
-                    let (resp, shutdown) = self.handle(envelope.req);
-                    let _ = envelope.reply.try_send(Reply::encode(&resp));
-                    if shutdown {
-                        break;
+            if owed.is_none() {
+                owed = held.take();
+            }
+            let envelope = match (&owed, &held) {
+                // A step is owed: take only what is already queued.
+                (Some(_), None) if served < self.config.queue_depth => {
+                    served += 1;
+                    rx.try_recv().ok()
+                }
+                // A step is held, or this round's reads are spent.
+                (Some(_), _) => None,
+                // Idle: wait for a command until the next cadence tick.
+                (None, _) => {
+                    let wait = next_round.saturating_duration_since(Instant::now());
+                    match rx.recv_timeout(wait) {
+                        Ok(envelope) => Some(envelope),
+                        Err(RecvTimeoutError::Timeout) => {
+                            if cadence.is_some() {
+                                self.step_round();
+                            }
+                            next_round += poll;
+                            // A long round must not trigger a catch-up
+                            // burst.
+                            let now = Instant::now();
+                            if next_round < now {
+                                next_round = now + poll;
+                            }
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if cadence.is_some() {
-                        self.step_round();
-                    }
-                    next_round += poll;
-                    // A long round must not trigger a catch-up burst.
-                    let now = Instant::now();
-                    if next_round < now {
-                        next_round = now + poll;
+            };
+            match envelope.map(|e| (self.handle(e.req), e.reply)) {
+                Some((Outcome::Reply(resp), reply)) => {
+                    let _ = reply.try_send(Reply::encode(&resp));
+                }
+                Some((Outcome::Owe(rounds), reply)) => {
+                    let step = OwedStep { rounds, reply };
+                    if owed.is_none() {
+                        owed = Some(step);
+                    } else {
+                        held = Some(step);
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+                Some((Outcome::Shutdown, reply)) => {
+                    if let Some(step) = owed.take() {
+                        step.done();
+                    }
+                    let _ = reply.try_send(Reply::encode(&Response::Bye));
+                    break;
+                }
+                // Nothing queued: run the owed step's next round, or
+                // answer it once its rounds are run or every cell is
+                // finished.
+                None => {
+                    if let Some(mut step) = owed.take() {
+                        served = 0;
+                        if step.rounds == 0 || self.fleet.all_finished() {
+                            step.done();
+                        } else {
+                            self.step_round();
+                            step.rounds -= 1;
+                            owed = Some(step);
+                        }
+                    }
+                }
             }
         }
+        // A stop signal ends the owed and held steps early.
+        owed.into_iter().chain(held).for_each(OwedStep::done);
         self.draining = true;
         let _ = self.fleet.persist_all(true, &mut NullHook);
         self.stop.store(true, Ordering::SeqCst);
         Ok(())
+    }
+}
+
+/// What the engine does with a command.
+enum Outcome {
+    /// Answer at once.
+    Reply(Response),
+    /// Owe this many fleet rounds, answered `Done` when they are run.
+    Owe(u64),
+    /// End any owed step, answer `Bye`, then drain and exit.
+    Shutdown,
+}
+
+/// A `Step` the engine owes: the rounds still to run and the
+/// connection waiting for its `Done`.
+struct OwedStep {
+    rounds: u64,
+    reply: SyncSender<Reply>,
+}
+
+impl OwedStep {
+    /// Answer the step: its rounds are run, or a stop signal, a
+    /// `Shutdown` or a finished fleet ended it early.
+    fn done(self) {
+        let _ = self
+            .reply
+            .try_send(Reply::encode(&Response::Done { cell: None }));
     }
 }
 

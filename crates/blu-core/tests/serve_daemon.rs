@@ -623,6 +623,89 @@ fn graceful_shutdown_persists_and_resume_is_bit_identical() {
 }
 
 #[test]
+fn a_long_step_holds_no_command_hostage() {
+    let specs = || [CellSpec::new(91, 600), CellSpec::new(92, 600)];
+    let dir_g = scratch_dir("hostage-golden");
+    let golden = {
+        let handle = start(&dir_g, false, |_| {});
+        for spec in specs() {
+            add_cell(&handle, spec);
+        }
+        let status = step_to_completion(&handle);
+        handle.shutdown();
+        handle.wait().unwrap();
+        digests(&status)
+    };
+
+    // A Step far longer than the traces, on its own connection.
+    let dir_k = scratch_dir("hostage");
+    {
+        let handle = start(&dir_k, false, |_| {});
+        for spec in specs() {
+            add_cell(&handle, spec);
+        }
+        let addr = handle.addr();
+        let burst = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(300)))
+                .unwrap();
+            roundtrip(
+                &mut stream,
+                &Request::Step {
+                    rounds: 1_000_000_000,
+                },
+                DEFAULT_MAX_FRAME,
+            )
+            .unwrap()
+        });
+        let mut monitor = connect(&handle);
+        let mut status = || match roundtrip(&mut monitor, &Request::Status, DEFAULT_MAX_FRAME) {
+            Ok(Response::Status(status)) => status,
+            other => panic!("expected Status, got {other:?}"),
+        };
+        // Once a round has run, the step is owed: the next Status must
+        // answer between its rounds, not after the traces run out.
+        let mut polls = 0;
+        while status().counters.rounds == 0 {
+            polls += 1;
+            assert!(polls < 10_000, "the Step never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mid = status();
+        assert!(
+            mid.cells.iter().any(|c| !c.done),
+            "Status waited out the whole Step: {} rounds, every cell done",
+            mid.counters.rounds
+        );
+
+        // Shutdown ends the owed step: Bye here, Done on the step's
+        // connection, then a clean drain.
+        let mut closer = connect(&handle);
+        match roundtrip(&mut closer, &Request::Shutdown, DEFAULT_MAX_FRAME) {
+            Ok(Response::Bye) => {}
+            other => panic!("expected Bye, got {other:?}"),
+        }
+        match burst.join().unwrap() {
+            Response::Done { cell: None } => {}
+            other => panic!("expected the owed Step to answer Done, got {other:?}"),
+        }
+        handle.wait().expect("graceful drain exits cleanly");
+    }
+
+    // The drained fleet resumes to the uninterrupted digests.
+    {
+        let handle = start(&dir_k, true, |_| {});
+        let status = step_to_completion(&handle);
+        assert_eq!(digests(&status), golden, "resume must be bit-identical");
+        handle.shutdown();
+        handle.wait().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir_g);
+    let _ = std::fs::remove_dir_all(&dir_k);
+}
+
+#[test]
 fn resume_before_first_checkpoint_keeps_the_roster() {
     // Kill the daemon right after admission (no Step at all): the
     // admission-time sidecar must preserve the fleet roster, and the

@@ -64,9 +64,12 @@ impl EmpiricalAccess {
                 self.acc_individual[i] += 1;
             }
         }
-        let obs: Vec<usize> = observed.iter().collect();
-        for (a, &i) in obs.iter().enumerate() {
-            for &j in &obs[a + 1..] {
+        // After yielding `i`, the member iterator holds exactly the
+        // members above it: the pairs `(i, j)`, `i < j`, with no
+        // buffer.
+        let mut members = observed.iter();
+        while let Some(i) = members.next() {
+            for j in members.clone() {
                 let idx = pair_index(self.n, i, j);
                 self.obs_pair[idx] += 1;
                 if accessible.contains(i) && accessible.contains(j) {
@@ -93,9 +96,9 @@ impl EmpiricalAccess {
                 self.acc_individual[i] = self.acc_individual[i].saturating_sub(1);
             }
         }
-        let obs: Vec<usize> = observed.iter().collect();
-        for (a, &i) in obs.iter().enumerate() {
-            for &j in &obs[a + 1..] {
+        let mut members = observed.iter();
+        while let Some(i) = members.next() {
+            for j in members.clone() {
                 let idx = pair_index(self.n, i, j);
                 self.obs_pair[idx] = self.obs_pair[idx].saturating_sub(1);
                 if accessible.contains(i) && accessible.contains(j) {
@@ -228,6 +231,22 @@ mod tests {
         assert_eq!(e.p_pair(0, 1), Some(0.5));
         assert_eq!(e.p_pair(1, 2), Some(1.0));
         assert_eq!(e.p_pair(2, 0), Some(1.0)); // order-insensitive
+
+        // Members at the top of the 128-bit set pair without a shift
+        // past the mask's width.
+        let mut top = EmpiricalAccess::new(ClientSet::CAPACITY);
+        let observed = ClientSet::from_iter([0, 126, 127]);
+        top.record(observed, ClientSet::singleton(127));
+        top.record(ClientSet::singleton(127), ClientSet::singleton(127));
+        assert_eq!(top.p_individual(127), Some(1.0));
+        assert_eq!(top.p_individual(0), Some(0.0));
+        assert_eq!(top.p_pair(126, 127), Some(0.0));
+        assert_eq!(top.p_pair(0, 127), Some(0.0));
+        assert_eq!(top.p_pair(0, 126), Some(0.0));
+        assert_eq!(top.obs_pair.iter().sum::<u64>(), 3);
+        top.unrecord(observed, ClientSet::singleton(127));
+        assert_eq!(top.obs_pair.iter().sum::<u64>(), 0);
+        assert_eq!(top.obs_individual[127], 1);
     }
 
     #[test]
