@@ -13,6 +13,7 @@
 //! Paper result: accuracy is 100 % for ≈ 70 % of cases and ≥ 90 % for
 //! 90 % of cases; the median stays ≈ 100 % as the topology grows.
 
+use blu_bench::runners::fan_out;
 use blu_bench::statsutil::{fraction_at_least, mean, percentile};
 use blu_bench::table::save_results_json;
 use blu_bench::{ExpArgs, Table};
@@ -26,7 +27,6 @@ use blu_traces::capture::{capture_synthetic, CaptureConfig};
 use blu_traces::scenario::{generate, ActivityModel, ScenarioConfig};
 use blu_traces::schema::TestbedTrace;
 use blu_traces::stats::EmpiricalAccess;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -84,56 +84,53 @@ fn main() {
     // in the paper's 150 testbed topologies (UEs and laptops at
     // varying positions; hidden-terminal edges from the propagation
     // geometry) ---
-    let testbed_results: Vec<(f64, f64)> = (0..n_testbed)
-        .into_par_iter()
-        .filter_map(|i| {
-            let seed = args.seed + i as u64;
-            let mut rng = blu_sim::rng::DetRng::seed_from_u64(seed ^ 0xF16);
-            let mut cfg = ScenarioConfig::testbed();
-            cfg.n_ues = rng.range_usize(4, 9);
-            cfg.n_wifi = rng.range_usize(6, 11);
-            cfg.region_m = rng.range_f64(70.0, 100.0);
-            cfg.duration = Micros::from_secs(args.scaled(120, 30));
-            cfg.activity = ActivityModel::OnOff {
-                q_range: (0.15, 0.6),
-                mean_on_us: 1_500.0,
-            };
-            let scen = generate(&cfg, 500 + seed);
-            if scen.trace.ground_truth.n_hidden() == 0 {
-                return None; // nothing to infer in this draw
-            }
-            Some((
-                accuracy_full_trace(&scen.trace),
-                accuracy_of(&scen.trace, 50),
-            ))
-        })
-        .collect();
+    let testbed_results: Vec<(f64, f64)> = fan_out((0..n_testbed).collect(), |i| {
+        let seed = args.seed + i as u64;
+        let mut rng = blu_sim::rng::DetRng::seed_from_u64(seed ^ 0xF16);
+        let mut cfg = ScenarioConfig::testbed();
+        cfg.n_ues = rng.range_usize(4, 9);
+        cfg.n_wifi = rng.range_usize(6, 11);
+        cfg.region_m = rng.range_f64(70.0, 100.0);
+        cfg.duration = Micros::from_secs(args.scaled(120, 30));
+        cfg.activity = ActivityModel::OnOff {
+            q_range: (0.15, 0.6),
+            mean_on_us: 1_500.0,
+        };
+        let scen = generate(&cfg, 500 + seed);
+        if scen.trace.ground_truth.n_hidden() == 0 {
+            return None; // nothing to infer in this draw
+        }
+        Some((
+            accuracy_full_trace(&scen.trace),
+            accuracy_of(&scen.trace, 50),
+        ))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let testbed_accs: Vec<f64> = testbed_results.iter().map(|&(a, _)| a).collect();
     let testbed_t50: Vec<f64> = testbed_results.iter().map(|&(_, a)| a).collect();
 
     // --- stress population: uniformly random (non-geometric) edge
     // structures with HTs ≈ UEs — the skewed regime of §3.5 where
     // pairwise statistics may admit several explanations ---
-    let stress_accs: Vec<f64> = (0..n_testbed)
-        .into_par_iter()
-        .map(|i| {
-            let seed = args.seed + 7_000 + i as u64;
-            let mut rng = blu_sim::rng::DetRng::seed_from_u64(seed ^ 0xF17);
-            let cfg = CaptureConfig {
-                n_ues: rng.range_usize(4, 9),
-                n_hts: rng.range_usize(4, 9),
-                n_antennas: 2,
-                duration: Micros::from_secs(args.scaled(120, 30)),
-                q_range: (0.15, 0.6),
-                edge_prob: 0.4,
-                mean_on_us: 1_500.0,
-                coherence_subframes: 50,
-                snr_range_db: (12.0, 28.0),
-            };
-            let trace = capture_synthetic(&cfg, seed);
-            accuracy_full_trace(&trace)
-        })
-        .collect();
+    let stress_accs: Vec<f64> = fan_out((0..n_testbed).collect(), |i| {
+        let seed = args.seed + 7_000 + i as u64;
+        let mut rng = blu_sim::rng::DetRng::seed_from_u64(seed ^ 0xF17);
+        let cfg = CaptureConfig {
+            n_ues: rng.range_usize(4, 9),
+            n_hts: rng.range_usize(4, 9),
+            n_antennas: 2,
+            duration: Micros::from_secs(args.scaled(120, 30)),
+            q_range: (0.15, 0.6),
+            edge_prob: 0.4,
+            mean_on_us: 1_500.0,
+            coherence_subframes: 50,
+            snr_range_db: (12.0, 28.0),
+        };
+        let trace = capture_synthetic(&cfg, seed);
+        accuracy_full_trace(&trace)
+    });
 
     // --- NS3-scale population: sweep UE and WiFi counts ---
     let sizes = [5usize, 10, 15, 20, 25];
@@ -145,17 +142,13 @@ fn main() {
             }
         }
     }
-    let ns3_results: Vec<(usize, f64)> = ns3_jobs
-        .par_iter()
-        .map(|&(n_ues, n_wifi, rep)| {
-            let mut cfg = ScenarioConfig::ns3(n_ues, n_wifi);
-            cfg.duration = Micros::from_secs(args.scaled(120, 30));
-            let seed =
-                args.seed + (n_ues as u64) * 1_000_003 + (n_wifi as u64) * 10_007 + rep as u64;
-            let scen = generate(&cfg, seed);
-            (n_ues, accuracy_full_trace(&scen.trace))
-        })
-        .collect();
+    let ns3_results: Vec<(usize, f64)> = fan_out(ns3_jobs, |(n_ues, n_wifi, rep)| {
+        let mut cfg = ScenarioConfig::ns3(n_ues, n_wifi);
+        cfg.duration = Micros::from_secs(args.scaled(120, 30));
+        let seed = args.seed + (n_ues as u64) * 1_000_003 + (n_wifi as u64) * 10_007 + rep as u64;
+        let scen = generate(&cfg, seed);
+        (n_ues, accuracy_full_trace(&scen.trace))
+    });
     let ns3_accs: Vec<f64> = ns3_results.iter().map(|&(_, a)| a).collect();
 
     // --- report ---

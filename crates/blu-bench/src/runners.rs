@@ -2,6 +2,7 @@
 
 use blu_core::blueprint::{topology_accuracy, InferScratch, InferenceBackend, InferenceConfig};
 use blu_core::emulator::{EmulationConfig, Emulator};
+use blu_core::engine::FleetEngine;
 use blu_core::joint::{EmpiricalPatternAccess, TopologyAccess};
 use blu_core::metrics::UplinkMetrics;
 use blu_core::orchestrator::{blueprint_from_measurements_with, run_measurement_phase};
@@ -135,52 +136,18 @@ pub fn compare_schedulers(trace: &TestbedTrace, opts: &CompareOpts) -> Scheduler
     }
 }
 
-/// Fan independent scenario inputs out over the worker-thread pool,
-/// running `run` on each; results come back **in input order** (the
-/// rayon shim joins chunks in spawn order), so the output is
-/// byte-identical to `scenarios.into_iter().map(run).collect()` — the
-/// fan-out reorders wall-clock execution, never results.
+/// Fan independent scenario inputs out over the [`FleetEngine`],
+/// running `run` on each; results come back **in input order**, so
+/// the output is byte-identical to
+/// `scenarios.into_iter().map(run).collect()` — the fan-out reorders
+/// wall-clock execution, never results.
 pub fn fan_out<T, R, F>(scenarios: Vec<T>, run: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    use rayon::prelude::*;
-    scenarios.into_par_iter().map(run).collect()
-}
-
-/// Run [`compare_schedulers`] once per seed in parallel (one trace
-/// per seed via `make_trace`), returning comparisons in seed order.
-/// Deterministic: identical output to
-/// [`compare_over_seeds_sequential`].
-pub fn compare_over_seeds<F>(
-    seeds: &[u64],
-    make_trace: F,
-    opts: &CompareOpts,
-) -> Vec<SchedulerComparison>
-where
-    F: Fn(u64) -> TestbedTrace + Sync,
-{
-    fan_out(seeds.to_vec(), |seed| {
-        compare_schedulers(&make_trace(seed), opts)
-    })
-}
-
-/// Sequential reference for [`compare_over_seeds`] — kept alive for
-/// differential testing and single-thread profiling.
-pub fn compare_over_seeds_sequential<F>(
-    seeds: &[u64],
-    make_trace: F,
-    opts: &CompareOpts,
-) -> Vec<SchedulerComparison>
-where
-    F: Fn(u64) -> TestbedTrace,
-{
-    seeds
-        .iter()
-        .map(|&seed| compare_schedulers(&make_trace(seed), opts))
-        .collect()
+    FleetEngine::run(scenarios, || (), |_, x| run(x))
 }
 
 /// Build a topology with exactly `hts_per_ue` hidden terminals

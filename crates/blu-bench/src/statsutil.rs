@@ -24,17 +24,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Empirical CDF sample points `(value, F(value))`, sorted by value.
-pub fn cdf_points(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = v.len() as f64;
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
-
 /// Fraction of samples ≥ a threshold.
 pub fn fraction_at_least(xs: &[f64], threshold: f64) -> f64 {
     if xs.is_empty() {
@@ -63,8 +52,6 @@ mod tests {
     fn mean_and_cdf() {
         let xs = [2.0, 4.0, 6.0];
         assert_eq!(mean(&xs), 4.0);
-        let cdf = cdf_points(&xs);
-        assert_eq!(cdf, vec![(2.0, 1.0 / 3.0), (4.0, 2.0 / 3.0), (6.0, 1.0)]);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 use crate::args::Flags;
 use blu_core::blueprint::{FleetBlueprintCache, InferenceBackend, McmcConfig};
 use blu_core::orchestrator::BluConfig;
-use blu_core::robust::{run_blu_robust, CheckpointPolicy, RobustConfig};
+use blu_core::robust::{churn_events, run_blu_robust, CheckpointPolicy, RobustConfig};
 use blu_core::runtime::supervisor::{run_supervised_fleet, CellHealthReport, SupervisorConfig};
 use blu_core::runtime::Deadline;
-use blu_core::EmulationConfig;
+use blu_core::{BluError, EmulationConfig};
 use blu_phy::cell::CellConfig;
 use blu_sim::clientset::ClientSet;
 use blu_sim::faults::{FaultEvent, FaultKind, FaultScript};
@@ -279,17 +279,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 "--churn-start {start} leaves no room in a {total} sub-frame trace"
             ));
         }
-        let churn_cfg =
-            blu_sim::churn::ChurnConfig::with_total_rate(cfg.n_ues, duration, churn_rate);
         let churn_seed = flags.get_or("churn-seed", seed.wrapping_add(0xC0FF))?;
-        let churn = blu_sim::churn::generate_churn(&churn_cfg, cfg.n_hts, churn_seed)
-            .map_err(|e| e.to_string())?;
+        let churn = churn_events(
+            cfg.n_ues, cfg.n_hts, start, duration, churn_rate, churn_seed,
+        )
+        .map_err(|e| match e {
+            // A rejected churn mix reads as the substrate's own message.
+            BluError::Sim(e) => e.to_string(),
+            e => e.to_string(),
+        })?;
         let mut events = script.events.clone();
-        events.extend(
-            blu_core::robust::compile_churn_script(&churn, start)
-                .map_err(|e| e.to_string())?
-                .events,
-        );
+        events.extend(churn);
         script = FaultScript::new(events);
     }
     script

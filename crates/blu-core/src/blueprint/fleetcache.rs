@@ -258,10 +258,6 @@ fn canonical_bytes(
             b.push(1);
             b.extend_from_slice(&s.to_le_bytes());
         }
-        Deadline::Wall(d) => {
-            b.push(2);
-            b.extend_from_slice(&d.as_nanos().to_le_bytes());
-        }
     }
     match backend {
         InferenceBackend::Gradient => b.push(0),

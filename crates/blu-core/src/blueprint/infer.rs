@@ -155,8 +155,13 @@ pub struct InferenceResult {
     /// under [`Deadline::None`]). When `false` the blueprint is the
     /// anytime best-so-far.
     pub completed: bool,
-    /// Upper bound on work units executed past the deadline (see
-    /// [`DeadlineToken::overshoot`]); `0` when completed.
+    /// Always `0`: step budgets are exact, so no work runs past a
+    /// deadline. Kept because every checkpoint serializes it
+    /// ([`CellSnapshot::blueprint`]); dropping it changes checkpoint
+    /// bytes and every reference digest, so it waits for the next
+    /// snapshot version bump (ROADMAP item 2).
+    ///
+    /// [`CellSnapshot::blueprint`]: crate::engine::CellSnapshot::blueprint
     pub overshoot: u64,
 }
 
@@ -843,7 +848,7 @@ pub fn infer_topology(sys: &ConstraintSystem, config: &InferenceConfig) -> Infer
         residual_fraction,
         verdict,
         completed: !token.expired(),
-        overshoot: token.overshoot(),
+        overshoot: 0,
     }
 }
 
@@ -949,7 +954,7 @@ fn run_portfolio_with(
         residual_fraction,
         verdict,
         completed: !token.expired(),
-        overshoot: token.overshoot(),
+        overshoot: 0,
     }
 }
 
@@ -990,7 +995,7 @@ pub fn refine_topology_with(
         residual_fraction,
         verdict,
         completed: !token.expired(),
-        overshoot: token.overshoot(),
+        overshoot: 0,
     }
 }
 
@@ -1409,10 +1414,6 @@ mod triple_inference_tests {
             },
             InferenceConfig {
                 deadline: Deadline::Steps(0),
-                ..Default::default()
-            },
-            InferenceConfig {
-                deadline: Deadline::Wall(std::time::Duration::ZERO),
                 ..Default::default()
             },
         ];

@@ -111,8 +111,6 @@ pub struct McmcResult {
     pub steps_done: usize,
     /// Whether the chain ran its full proposal budget.
     pub completed: bool,
-    /// Upper bound on proposals executed past a wall-clock deadline.
-    pub overshoot: u64,
 }
 
 /// One Metropolis proposal. `Stay` stands in for draw outcomes the
@@ -329,7 +327,6 @@ pub fn infer_mcmc_bounded(
         accepted,
         steps_done,
         completed: !token.expired(),
-        overshoot: token.overshoot(),
     }
 }
 
@@ -397,7 +394,6 @@ pub fn infer_mcmc_scratch(sys: &ConstraintSystem, config: &McmcConfig, seed: u64
         accepted,
         steps_done: config.steps,
         completed: true,
-        overshoot: 0,
     }
 }
 
@@ -426,7 +422,7 @@ pub fn infer_mcmc_result(
         residual_fraction,
         verdict,
         completed: r.completed,
-        overshoot: r.overshoot,
+        overshoot: 0,
     }
 }
 
@@ -626,7 +622,7 @@ mod tests {
 
     /// `Deadline::None` must be bit-identical to the plain entry
     /// point, and a budget ≥ steps must behave as unbounded
-    /// (`completed = true`, zero overshoot).
+    /// (`completed = true`).
     #[test]
     fn unbounded_deadline_is_bit_identical() {
         use crate::runtime::deadline::Deadline;
@@ -644,7 +640,6 @@ mod tests {
             assert_eq!(r.accepted, plain.accepted);
             assert_eq!(r.steps_done, cfg.steps);
             assert!(r.completed);
-            assert_eq!(r.overshoot, 0);
         }
     }
 
@@ -663,7 +658,6 @@ mod tests {
         let b = infer_mcmc_bounded(&sys, &cfg, 11, Deadline::Steps(500));
         assert_eq!(a.steps_done, 500);
         assert!(!a.completed);
-        assert_eq!(a.overshoot, 0, "step budgets never overshoot");
         assert!(a.violation.is_finite());
         assert_eq!(a.topology, b.topology, "bounded runs are deterministic");
         assert_eq!(a.accepted, b.accepted);

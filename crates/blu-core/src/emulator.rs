@@ -12,11 +12,10 @@
 //! The sub-frame loop itself lives in
 //! [`crate::engine::CellEngine`] — this module is the emulation
 //! facade over it: [`Emulator::run`] is a back-to-back engine
-//! segment, [`Emulator::run_contended`] the same segment in LBT
-//! [`AccessMode::Contended`] mode, and [`run_trials`] fans
-//! independent trials across the [`FleetEngine`].
+//! segment, and [`Emulator::run_contended`] the same segment in LBT
+//! [`AccessMode::Contended`] mode.
 
-use crate::engine::{AccessMode, CellEngine, EngineArena, FleetEngine, NullObserver};
+use crate::engine::{AccessMode, CellEngine, NullObserver};
 use crate::error::BluError;
 use crate::measure::OutcomeEstimator;
 use crate::metrics::UplinkMetrics;
@@ -124,31 +123,6 @@ impl<'a> Emulator<'a> {
         })
     }
 
-    /// The PF throughput averages accumulated so far (one per
-    /// client).
-    pub fn pf_averages(&self) -> &[f64] {
-        self.engine.pf_averages()
-    }
-
-    /// Seed the PF averages — used by segmented runs to carry
-    /// fairness state from one emulator segment into the next.
-    /// Ignores a slice of the wrong length.
-    pub fn seed_pf_averages(&mut self, avg: &[f64]) {
-        self.engine.seed_pf_averages(avg)
-    }
-
-    /// Adopt recycled hot-state buffers from a fleet shard's
-    /// [`EngineArena`] (see [`CellEngine::adopt_arena`]).
-    pub fn adopt_arena(&mut self, arena: &mut EngineArena) {
-        self.engine.adopt_arena(arena)
-    }
-
-    /// Return the hot-state buffers to the arena for the shard's next
-    /// trial.
-    pub fn yield_arena(&mut self, arena: &mut EngineArena) {
-        self.engine.yield_arena(arena)
-    }
-
     /// Run the emulation. `estimator`, when provided, receives every
     /// sub-frame's observations (this is how the orchestrator keeps
     /// measuring during the speculative phase).
@@ -188,195 +162,6 @@ impl<'a> Emulator<'a> {
             },
             &mut NullObserver,
         )
-    }
-}
-
-/// Run `n_trials` independent emulations of one trace in parallel,
-/// returning the reports **in trial order**.
-///
-/// Each trial builds its own [`Emulator`] (from `config_for(t)`) and
-/// its own scheduler (from `scheduler_for(t)`), so trials share
-/// nothing mutable — only the trace and whatever `Send + Sync` state
-/// the factories capture (typically one [`AccessDistribution`]
-/// provider, whose bounded memo cache is then warmed by all workers).
-/// The [`FleetEngine`]'s ordered sharded reduction makes the result
-/// vector byte-identical to running the same trials in a sequential
-/// loop — the property `blu-bench`'s differential tests pin down.
-///
-/// Two fleet-level properties ride on the executor:
-///
-/// * **Per-trial panic isolation** — a panic inside one trial (a
-///   misbehaving scheduler, a poisoned config) surfaces as that
-///   trial's [`BluError::Panicked`]; every other trial still returns
-///   its report.
-/// * **Per-shard arenas** — each shard threads one [`EngineArena`]
-///   through its trials, so the engines' SoA hot state (block caches,
-///   ZF scratch, HARQ lanes, observation pools) is allocated once per
-///   shard and recycled: steady-state trials allocate nothing per
-///   sub-frame.
-///
-/// [`AccessDistribution`]: crate::joint::AccessDistribution
-#[allow(clippy::needless_lifetimes)] // `'a` names the trace borrow the boxed schedulers may hold
-pub fn run_trials<'a, C, S>(
-    trace: &'a TestbedTrace,
-    n_trials: usize,
-    config_for: C,
-    scheduler_for: S,
-) -> Vec<Result<EmulationReport, BluError>>
-where
-    C: Fn(usize) -> EmulationConfig + Sync,
-    S: Fn(usize) -> Box<dyn UlScheduler + 'a> + Sync,
-{
-    FleetEngine::run_isolated(
-        (0..n_trials).collect(),
-        EngineArena::new,
-        |arena, t| -> Result<EmulationReport, BluError> {
-            let mut emu = Emulator::new(trace, config_for(t))?;
-            emu.adopt_arena(arena);
-            let mut sched = scheduler_for(t);
-            let report = emu.run(sched.as_mut(), None);
-            emu.yield_arena(arena);
-            Ok(report)
-        },
-    )
-    .into_iter()
-    .map(|r| r.and_then(|inner| inner))
-    .collect()
-}
-
-#[cfg(test)]
-mod trial_tests {
-    use super::*;
-    use crate::joint::TopologyAccess;
-    use crate::sched::{PfScheduler, SpeculativeScheduler};
-    use blu_sim::time::Micros;
-    use blu_traces::capture::{capture_synthetic, CaptureConfig};
-
-    #[test]
-    fn parallel_trials_match_sequential_loop() {
-        let trace = capture_synthetic(
-            &CaptureConfig {
-                duration: Micros::from_secs(20),
-                q_range: (0.3, 0.6),
-                ..CaptureConfig::testbed_default()
-            },
-            31,
-        );
-        let mut cell = CellConfig::testbed_siso();
-        cell.numerology.n_rbs = 10;
-        let cfg_for = |t: usize| {
-            let mut c = EmulationConfig::new(cell.clone());
-            c.n_txops = 40;
-            c.seed = 0x0B1E + t as u64;
-            c
-        };
-        // One shared provider across all worker threads: exercises
-        // the Send + Sync bounded cache for real.
-        let acc = TopologyAccess::new(&trace.ground_truth);
-        let par = run_trials(&trace, 6, cfg_for, |_| {
-            Box::new(SpeculativeScheduler::new(&acc))
-        });
-        let seq: Vec<UplinkMetrics> = (0..6)
-            .map(|t| {
-                let mut emu = Emulator::new(&trace, cfg_for(t)).unwrap();
-                emu.run(&mut SpeculativeScheduler::new(&acc), None).metrics
-            })
-            .collect();
-        assert_eq!(par.len(), 6);
-        for (t, (p, s)) in par.into_iter().zip(seq).enumerate() {
-            assert_eq!(p.unwrap().metrics, s, "trial {t} diverged");
-        }
-    }
-
-    #[test]
-    fn trial_setup_errors_surface_per_trial() {
-        let trace = capture_synthetic(
-            &CaptureConfig {
-                duration: Micros::from_secs(10),
-                ..CaptureConfig::testbed_default()
-            },
-            32,
-        );
-        let reports = run_trials(
-            &trace,
-            3,
-            |t| {
-                let mut cell = CellConfig::testbed_siso();
-                cell.numerology.n_rbs = 10;
-                if t == 1 {
-                    // More antennas than the trace's CSI carries.
-                    cell.m_antennas = 64;
-                }
-                let mut c = EmulationConfig::new(cell);
-                c.n_txops = 10;
-                c
-            },
-            |_| Box::new(PfScheduler),
-        );
-        assert!(reports[0].is_ok());
-        assert!(reports[1].is_err(), "bad trial must fail alone");
-        assert!(reports[2].is_ok());
-    }
-
-    /// A scheduler that panics on first use — a stand-in for any bug
-    /// inside one trial's sub-frame loop.
-    struct PanickingScheduler;
-
-    impl UlScheduler for PanickingScheduler {
-        fn name(&self) -> &'static str {
-            "panicking"
-        }
-        fn schedule(
-            &mut self,
-            _input: &crate::sched::SchedInput<'_>,
-        ) -> blu_phy::grant::RbSchedule {
-            panic!("scheduler blew up mid-trial");
-        }
-    }
-
-    #[test]
-    fn panicking_trial_is_contained_and_healthy_trials_survive() {
-        let trace = capture_synthetic(
-            &CaptureConfig {
-                duration: Micros::from_secs(10),
-                ..CaptureConfig::testbed_default()
-            },
-            33,
-        );
-        let mut cell = CellConfig::testbed_siso();
-        cell.numerology.n_rbs = 10;
-        let cfg_for = |t: usize| {
-            let mut c = EmulationConfig::new(cell.clone());
-            c.n_txops = 20;
-            c.seed = 0x0B1E + t as u64;
-            c
-        };
-        let reports = run_trials(&trace, 4, cfg_for, |t| -> Box<dyn UlScheduler> {
-            if t == 2 {
-                Box::new(PanickingScheduler)
-            } else {
-                Box::new(PfScheduler)
-            }
-        });
-        assert_eq!(reports.len(), 4);
-        match &reports[2] {
-            Err(BluError::Panicked(msg)) => {
-                assert!(msg.contains("scheduler blew up"), "{msg}")
-            }
-            other => panic!("expected contained panic, got {other:?}"),
-        }
-        // The healthy trials — including whichever shared trial 2's
-        // shard (and therefore its rebuilt arena) — must match a
-        // plain sequential run bit-for-bit.
-        for t in [0usize, 1, 3] {
-            let mut emu = Emulator::new(&trace, cfg_for(t)).unwrap();
-            let want = emu.run(&mut PfScheduler, None).metrics;
-            assert_eq!(
-                reports[t].as_ref().unwrap().metrics,
-                want,
-                "healthy trial {t} diverged"
-            );
-        }
     }
 }
 

@@ -1,29 +1,28 @@
 //! Sharded fleet execution with per-shard scratch state.
 //!
-//! [`FleetEngine`] fans a work list across a chunked
-//! [`std::thread::scope`] pool using **exactly** the vendored rayon
-//! shim's placement math — `min(RAYON_NUM_THREADS |
-//! available_parallelism, items)` workers, balanced contiguous
-//! chunks, joined in spawn order — so anything previously routed
-//! through `par_iter().map(..)` produces byte-identical, input-ordered
-//! results when routed through here instead.
+//! [`FleetEngine`] is the one parallel executor: it fans a work list
+//! across a chunked [`std::thread::scope`] pool —
+//! `min(RAYON_NUM_THREADS | available_parallelism, items)` workers,
+//! balanced contiguous chunks, joined in spawn order — so results come
+//! back input-ordered and byte-identical to a sequential map.
+//! `RAYON_NUM_THREADS` keeps its conventional name because the
+//! benchmark harness sets it.
 //!
-//! What the shim cannot express (and the reason this exists) is
-//! *per-shard state*: each worker builds one scratch value with
-//! `init()` and threads it through every item of its chunk. Callers
-//! whose per-item work is allocation-heavy — batch blueprint
-//! inference re-allocating residual trackers per cell — amortize
-//! those allocations across the shard instead of paying them per
-//! item. With `St = ()` the engine degenerates to the shim's plain
-//! ordered map.
+//! Each worker builds one scratch value with `init()` and threads it
+//! through every item of its chunk. Callers whose per-item work is
+//! allocation-heavy — batch blueprint inference re-allocating
+//! residual trackers per cell — amortize those allocations across the
+//! shard instead of paying them per item. With `St = ()` the engine
+//! is a plain ordered map.
 
 use crate::error::BluError;
 use crate::runtime::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Number of worker shards for `n_items` items — the vendored rayon
-/// shim's `threads_for`, verbatim, so placement (and therefore
-/// per-shard scratch reuse boundaries) matches `par_iter` exactly.
+/// Number of worker shards for `n_items` items: the configured worker
+/// count, never more than one shard per item. Placement (and
+/// therefore per-shard scratch reuse boundaries) depends only on
+/// these two numbers.
 fn shards_for(n_items: usize) -> usize {
     let hw = std::env::var("RAYON_NUM_THREADS")
         .ok()

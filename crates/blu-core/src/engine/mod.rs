@@ -24,8 +24,8 @@
 //! the engine-level, serializable checkpoint (née `RobustSnapshot`,
 //! still re-exported under that name with an unchanged on-disk
 //! schema). Fleet-scale callers fan cells across [`FleetEngine`]
-//! ([`fleet`]), which reproduces the rayon shim's deterministic
-//! ordered chunking while adding per-shard scratch reuse.
+//! ([`fleet`]): deterministic ordered chunking with per-shard scratch
+//! reuse.
 //!
 //! The steps carry *mechanism*; *policy* stays with the caller:
 //! `orchestrator::run_blu` is three direct calls (measurement phase,

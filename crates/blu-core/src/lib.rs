@@ -87,8 +87,8 @@ pub use error::BluError;
 pub use joint::AccessDistribution;
 pub use orchestrator::{BluConfig, BluRunReport};
 pub use robust::{
-    compile_churn_script, run_blu_robust, run_robust_fleet, CheckpointPolicy, OrchestratorState,
-    RobustConfig, RobustRunReport, RobustSnapshot, StreamingConfig,
+    churn_events, compile_churn_script, run_blu_robust, run_robust_fleet, CheckpointPolicy,
+    OrchestratorState, RobustConfig, RobustRunReport, RobustSnapshot, StreamingConfig,
 };
 pub use runtime::supervisor::{
     run_supervised_fleet, run_supervised_fleet_with_hook, CellHealth, CellSupervisor,

@@ -71,11 +71,6 @@ impl OutcomeEstimator {
     pub fn decay(&mut self, keep: f64) {
         self.stats.decay(keep);
     }
-
-    /// Consume into the statistics.
-    pub fn into_stats(self) -> EmpiricalAccess {
-        self.stats
-    }
 }
 
 #[cfg(test)]

@@ -209,6 +209,28 @@ pub fn compile_churn_script(
     Ok(blu_sim::faults::FaultScript::new(out))
 }
 
+/// Poisson UE/HT churn as absolute-time fault events: a churn mix
+/// totalling `rate_hz` events/second
+/// ([`ChurnConfig::with_total_rate`](blu_sim::churn::ChurnConfig::with_total_rate))
+/// over `duration_subframes`, sampled by
+/// [`generate_churn`](blu_sim::churn::generate_churn) against
+/// `n_hts` initial terminals from `seed`, and placed from
+/// `start_subframe` on by [`compile_churn_script`]. The events come
+/// back sorted by sub-frame, ready to merge into a
+/// [`FaultScript`](blu_sim::faults::FaultScript).
+pub fn churn_events(
+    n_ues: usize,
+    n_hts: usize,
+    start_subframe: u64,
+    duration_subframes: u64,
+    rate_hz: f64,
+    seed: u64,
+) -> Result<Vec<blu_sim::faults::FaultEvent>, BluError> {
+    let config = blu_sim::churn::ChurnConfig::with_total_rate(n_ues, duration_subframes, rate_hz);
+    let churn = blu_sim::churn::generate_churn(&config, n_hts, seed)?;
+    Ok(compile_churn_script(&churn, start_subframe)?.events)
+}
+
 /// Configuration of the robust loop.
 #[derive(Debug, Clone)]
 pub struct RobustConfig {
@@ -1561,16 +1583,15 @@ pub(crate) mod tests {
 
     /// A 90 s capture under Poisson UE/HT churn from sub-frame 20,000.
     pub(crate) fn churn_capture() -> FaultyCapture {
-        use blu_sim::churn::{generate_churn, ChurnConfig};
         let cap_cfg = CaptureConfig {
             duration: Micros::from_secs(90),
             q_range: (0.25, 0.55),
             ..CaptureConfig::testbed_default()
         };
-        let churn = ChurnConfig::with_total_rate(cap_cfg.n_ues, 60_000, 0.2);
-        let events = generate_churn(&churn, cap_cfg.n_hts, 0xC0FF).unwrap();
+        let events =
+            churn_events(cap_cfg.n_ues, cap_cfg.n_hts, 20_000, 60_000, 0.2, 0xC0FF).unwrap();
         assert!(!events.is_empty(), "expected churn events at this rate");
-        let script = compile_churn_script(&events, 20_000).unwrap();
+        let script = FaultScript::new(events);
         capture_with_faults(&cap_cfg, &script, 12).unwrap()
     }
 

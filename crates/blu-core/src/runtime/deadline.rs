@@ -5,36 +5,25 @@
 //! meant to inform is worthless. Rather than aborting (and losing the
 //! work), the inference loops accept a [`DeadlineToken`] and check it
 //! once per proposal / repair iteration; on expiry they return the
-//! best topology found so far, tagged `completed = false` with an
-//! overshoot bound, so the orchestrator can speculate on a coarser
-//! blueprint now and refine later.
+//! best topology found so far, tagged `completed = false`, so the
+//! orchestrator can speculate on a coarser blueprint now and refine
+//! later.
 //!
-//! Two arms with different contracts:
+//! The budget is a deterministic work-unit count,
+//! [`Deadline::Steps`]: expiry is exact (the budget'th unit is the
+//! last one executed) and the result is a pure function of the
+//! inputs, so every solve and every fleet round stays reproducible
+//! bit for bit and differential tests can pin it. A wall-clock budget
+//! would make a solve depend on timing, so there is none.
 //!
-//! * [`Deadline::Steps`] — a deterministic work-unit budget. Expiry
-//!   is exact (the budget'th unit is the last one executed) and the
-//!   result is a pure function of the inputs, so differential tests
-//!   can pin it.
-//! * [`Deadline::Wall`] — a wall-clock budget. `Instant::now()` is
-//!   only consulted every [`DEADLINE_CHECK_EVERY`] units (syscalls per
-//!   proposal would dominate the 2 ms inference budget), so at most
-//!   one check-batch of work runs past the deadline; the token
-//!   reports that bound as `overshoot`.
-//!
-//! Neither arm consumes randomness, and [`Deadline::None`]
+//! A token consumes no randomness, and [`Deadline::None`]
 //! short-circuits before touching any counter state, so adding a
 //! token to a loop cannot perturb an unbounded run — the
 //! no-deadline-bit-identity differential tests rely on this.
 
-use std::time::{Duration, Instant};
-
 use crate::error::BluError;
 
-/// How many work units run between wall-clock checks — and therefore
-/// the worst-case number of units that execute past a wall deadline.
-pub const DEADLINE_CHECK_EVERY: u32 = 64;
-
-/// An inference time budget.
+/// An inference work budget.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Deadline {
     /// No budget: run to convergence (the default; bit-identical to
@@ -44,9 +33,6 @@ pub enum Deadline {
     /// Budget of exactly this many work units (MCMC proposals /
     /// gradient repair iterations). Deterministic.
     Steps(u64),
-    /// Wall-clock budget, checked every [`DEADLINE_CHECK_EVERY`]
-    /// units.
-    Wall(Duration),
 }
 
 impl Deadline {
@@ -59,30 +45,17 @@ impl Deadline {
     /// the initial candidate and look like an inference bug).
     pub fn validate(&self) -> Result<(), BluError> {
         match self {
-            Deadline::None => Ok(()),
             Deadline::Steps(0) => Err(BluError::InvalidConfig(
                 "deadline step budget must be > 0".into(),
             )),
-            Deadline::Steps(_) => Ok(()),
-            Deadline::Wall(d) if d.is_zero() => Err(BluError::InvalidConfig(
-                "wall-clock deadline must be > 0".into(),
-            )),
-            Deadline::Wall(_) => Ok(()),
+            Deadline::None | Deadline::Steps(_) => Ok(()),
         }
     }
 
-    /// Start the clock: produce a token for one inference run. For
-    /// [`Deadline::Wall`] the budget is measured from this call.
+    /// Produce a token for one inference run.
     pub fn token(&self) -> DeadlineToken {
         DeadlineToken::new(*self)
     }
-}
-
-#[derive(Debug, Clone)]
-enum Arm {
-    None,
-    Steps { budget: u64 },
-    Wall { start: Instant, budget: Duration },
 }
 
 /// Cancellation token for one inference run.
@@ -92,33 +65,24 @@ enum Arm {
 /// Once expired, a token stays expired.
 #[derive(Debug, Clone)]
 pub struct DeadlineToken {
-    arm: Arm,
+    /// `None` for [`Deadline::None`]: ticks never fail and count
+    /// nothing.
+    budget: Option<u64>,
     /// Work units executed (i.e. ticks that returned `false`).
     units: u64,
-    since_check: u32,
-    units_at_last_check: u64,
     expired: bool,
-    overshoot: u64,
 }
 
 impl DeadlineToken {
-    /// Build a token for the given budget, starting the wall clock
-    /// now.
+    /// Build a token for the given budget.
     pub fn new(deadline: Deadline) -> Self {
         DeadlineToken {
-            arm: match deadline {
-                Deadline::None => Arm::None,
-                Deadline::Steps(budget) => Arm::Steps { budget },
-                Deadline::Wall(budget) => Arm::Wall {
-                    start: Instant::now(),
-                    budget,
-                },
+            budget: match deadline {
+                Deadline::None => None,
+                Deadline::Steps(budget) => Some(budget),
             },
             units: 0,
-            since_check: 0,
-            units_at_last_check: 0,
             expired: false,
-            overshoot: 0,
         }
     }
 
@@ -126,35 +90,15 @@ impl DeadlineToken {
     /// when the budget is exhausted (the unit must not run).
     #[inline]
     pub fn tick(&mut self) -> bool {
-        match self.arm {
-            Arm::None => false,
-            _ if self.expired => true,
-            Arm::Steps { budget } => {
-                if self.units >= budget {
-                    self.expired = true;
-                    true
-                } else {
-                    self.units += 1;
-                    false
-                }
-            }
-            Arm::Wall { start, budget } => {
-                self.since_check += 1;
-                if self.since_check >= DEADLINE_CHECK_EVERY {
-                    self.since_check = 0;
-                    if start.elapsed() >= budget {
-                        self.expired = true;
-                        // Units that ran after the last check known to
-                        // be within budget — an upper bound on
-                        // post-deadline work, ≤ one check batch.
-                        self.overshoot = self.units - self.units_at_last_check;
-                        return true;
-                    }
-                    self.units_at_last_check = self.units;
-                }
-                self.units += 1;
-                false
-            }
+        let Some(budget) = self.budget else {
+            return false;
+        };
+        if self.expired || self.units >= budget {
+            self.expired = true;
+            true
+        } else {
+            self.units += 1;
+            false
         }
     }
 
@@ -166,24 +110,19 @@ impl DeadlineToken {
     /// * [`Deadline::None`]: always (ticks never fail).
     /// * [`Deadline::Steps`]: when the token is not expired and
     ///   `units + n <= budget`; `units` then advances by `n`.
-    /// * [`Deadline::Wall`]: never — whether `n` more units fit is a
-    ///   question for the clock, so the caller must run them.
     ///
     /// On failure the token is untouched.
     ///
     /// [`tick`]: Self::tick
     pub fn try_replay(&mut self, n: u64) -> bool {
-        match self.arm {
-            Arm::None => true,
-            Arm::Steps { budget } => {
-                let fits = !self.expired && self.units.checked_add(n).is_some_and(|u| u <= budget);
-                if fits {
-                    self.units += n;
-                }
-                fits
-            }
-            Arm::Wall { .. } => false,
+        let Some(budget) = self.budget else {
+            return true;
+        };
+        let fits = !self.expired && self.units.checked_add(n).is_some_and(|u| u <= budget);
+        if fits {
+            self.units += n;
         }
+        fits
     }
 
     /// Whether the budget ran out.
@@ -194,13 +133,6 @@ impl DeadlineToken {
     /// Work units actually executed.
     pub fn units(&self) -> u64 {
         self.units
-    }
-
-    /// Upper bound on work units executed past the deadline (0 for
-    /// [`Deadline::None`] and [`Deadline::Steps`], at most
-    /// [`DEADLINE_CHECK_EVERY`] for [`Deadline::Wall`]).
-    pub fn overshoot(&self) -> u64 {
-        self.overshoot
     }
 }
 
@@ -215,7 +147,7 @@ mod tests {
             assert!(!t.tick());
         }
         assert!(!t.expired());
-        assert_eq!(t.overshoot(), 0);
+        assert_eq!(t.units(), 0);
     }
 
     #[test]
@@ -230,7 +162,6 @@ mod tests {
         assert_eq!(executed, 100, "exactly the budgeted units run");
         assert!(t.expired());
         assert_eq!(t.units(), 100);
-        assert_eq!(t.overshoot(), 0, "step budgets never overshoot");
     }
 
     #[test]
@@ -240,34 +171,6 @@ mod tests {
         assert!(t.tick());
         assert!(t.tick());
         assert_eq!(t.units(), 1);
-    }
-
-    #[test]
-    fn wall_deadline_expires_with_bounded_overshoot() {
-        // A zero-ish budget expires at the very first check.
-        let mut t = Deadline::Wall(Duration::from_nanos(1)).token();
-        let mut executed = 0u64;
-        for _ in 0..100_000 {
-            if !t.tick() {
-                executed += 1;
-            }
-        }
-        assert!(t.expired());
-        assert!(
-            executed < u64::from(DEADLINE_CHECK_EVERY),
-            "at most one check batch runs: {executed}"
-        );
-        assert!(t.overshoot() <= u64::from(DEADLINE_CHECK_EVERY));
-    }
-
-    #[test]
-    fn generous_wall_deadline_does_not_expire() {
-        let mut t = Deadline::Wall(Duration::from_secs(3600)).token();
-        for _ in 0..10_000 {
-            assert!(!t.tick());
-        }
-        assert!(!t.expired());
-        assert_eq!(t.units(), 10_000);
     }
 
     #[test]
@@ -305,7 +208,6 @@ mod tests {
         assert!(!t.try_replay(1));
         assert!(t.tick());
         assert_eq!(t.units(), 10);
-        assert_eq!(t.overshoot(), 0);
     }
 
     #[test]
@@ -329,20 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_never_replays() {
-        let mut t = Deadline::Wall(Duration::from_secs(3600)).token();
-        assert!(!t.try_replay(0));
-        assert!(!t.try_replay(1));
-        assert_eq!(t.units(), 0);
-        assert!(!t.expired());
-    }
-
-    #[test]
     fn validation_rejects_zero_budgets() {
         assert!(Deadline::None.validate().is_ok());
         assert!(Deadline::Steps(1).validate().is_ok());
         assert!(Deadline::Steps(0).validate().is_err());
-        assert!(Deadline::Wall(Duration::from_millis(1)).validate().is_ok());
-        assert!(Deadline::Wall(Duration::ZERO).validate().is_err());
     }
 }

@@ -74,7 +74,7 @@ pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker
 pub use checkpoint::{
     load_robust_checkpoint, save_robust_checkpoint, RobustCheckpoint, CHECKPOINT_VERSION,
 };
-pub use deadline::{Deadline, DeadlineToken, DEADLINE_CHECK_EVERY};
+pub use deadline::{Deadline, DeadlineToken};
 pub use lru::{CacheStats, LruCore};
 pub use service::{capture_for_spec, snapshot_digest, BluService, ServiceConfig, ServiceHandle};
 pub use supervisor::{

@@ -201,15 +201,15 @@ pub fn capture_for_spec(spec: &CellSpec) -> Result<FaultyCapture, BluError> {
         // non-empty and its arithmetic in range.
         let total = spec.seconds * 1_000;
         let start = total / 3;
-        let churn_cfg = blu_sim::churn::ChurnConfig::with_total_rate(
+        let mut rng = DetRng::seed_from_u64(spec.seed).derive("serve-churn");
+        events.extend(crate::robust::churn_events(
             cfg.n_ues,
+            cfg.n_hts,
+            start,
             total - start,
             spec.churn_rate_hz(),
-        );
-        let mut rng = DetRng::seed_from_u64(spec.seed).derive("serve-churn");
-        let churn = blu_sim::churn::generate_churn(&churn_cfg, cfg.n_hts, rng.next_u64())
-            .map_err(BluError::from)?;
-        events.extend(crate::robust::compile_churn_script(&churn, start)?.events);
+            rng.next_u64(),
+        )?);
     }
     capture_with_faults(&cfg, &FaultScript::new(events), spec.seed).map_err(BluError::from)
 }

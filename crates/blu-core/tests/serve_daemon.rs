@@ -4,9 +4,10 @@
 //! crash-safe-resume contract.
 //!
 //! Everything here drives a real [`BluService`] over real TCP — the
-//! same code path `blu ctl` exercises — with manual cadence, so every
-//! fleet advance is an explicit `Step` command and the runs are
-//! deterministic.
+//! same code path `blu ctl` exercises. All but one test use manual
+//! cadence, so every fleet advance is an explicit `Step` command; the
+//! cadence test checks that a daemon stepping on its own clock ends
+//! at the same digests.
 
 use blu_core::orchestrator::BluConfig;
 use blu_core::robust::RobustConfig;
@@ -620,6 +621,54 @@ fn graceful_shutdown_persists_and_resume_is_bit_identical() {
     }
     let _ = std::fs::remove_dir_all(&dir_g);
     let _ = std::fs::remove_dir_all(&dir_k);
+}
+
+#[test]
+fn cadence_driven_daemon_matches_a_manually_stepped_one() {
+    let specs = [CellSpec::new(81, 5), CellSpec::new(82, 5)];
+
+    // Golden: manual cadence, one large `Step` (a burst stops early
+    // once every cell is done).
+    let dir_m = scratch_dir("cadence-manual");
+    let golden = {
+        let handle = start(&dir_m, false, |_| {});
+        for spec in &specs {
+            add_cell(&handle, spec.clone());
+        }
+        step(&handle, 100_000);
+        let status = status_of(&handle);
+        assert!(status.cells.iter().all(|c| c.done), "one burst finishes");
+        handle.shutdown();
+        handle.wait().unwrap();
+        digests(&status)
+    };
+
+    // The same cells on a 1 ms cadence, with no `Step` at all: the
+    // fleet may start the first cell before the second is admitted,
+    // and the digests must not care.
+    let dir_c = scratch_dir("cadence-auto");
+    let handle = start(&dir_c, false, |c| c.cadence_ms = 1);
+    for spec in &specs {
+        add_cell(&handle, spec.clone());
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    let status = loop {
+        let status = status_of(&handle);
+        if status.cells.len() == specs.len() && status.cells.iter().all(|c| c.done) {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "cadence never finished the fleet: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.counters.rounds > 0, "the cadence stepped the fleet");
+    assert_eq!(digests(&status), golden, "digests are invariant to cadence");
+    handle.shutdown();
+    handle.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir_m);
+    let _ = std::fs::remove_dir_all(&dir_c);
 }
 
 #[test]

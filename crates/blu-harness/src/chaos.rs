@@ -269,19 +269,17 @@ impl ChaosPlan {
                 })?;
             let duration = total.saturating_sub(config.churn_start_subframe);
             if duration > 0 {
-                let churn_cfg = blu_sim::churn::ChurnConfig::with_total_rate(
-                    cap.n_ues,
-                    duration,
-                    config.churn_rate_hz,
-                );
                 for (cell, script) in scripts.iter_mut().enumerate() {
                     let mut cell_rng = rng.derive_indexed("chaos-churn", cell as u64);
-                    let events =
-                        blu_sim::churn::generate_churn(&churn_cfg, cap.n_hts, cell_rng.next_u64())
-                            .map_err(BluError::from)?;
-                    let compiled =
-                        blu_core::compile_churn_script(&events, config.churn_start_subframe)?;
-                    *script = merge(script, compiled.events);
+                    let events = blu_core::churn_events(
+                        cap.n_ues,
+                        cap.n_hts,
+                        config.churn_start_subframe,
+                        duration,
+                        config.churn_rate_hz,
+                        cell_rng.next_u64(),
+                    )?;
+                    *script = merge(script, events);
                 }
             }
         }

@@ -44,15 +44,6 @@ impl CellConfig {
         }
     }
 
-    /// The emulation's 4-antenna MU-MIMO configuration (Fig. 17).
-    pub fn emulation_mumimo4() -> Self {
-        CellConfig {
-            m_antennas: 4,
-            max_ues_per_subframe: 10,
-            ..Self::testbed_siso()
-        }
-    }
-
     /// Maximum clients the speculative scheduler may place on one RB.
     pub fn max_group_size(&self) -> usize {
         ((self.m_antennas as f64) * self.overschedule_factor).floor() as usize
@@ -95,14 +86,12 @@ mod tests {
     fn presets_validate() {
         assert!(CellConfig::testbed_siso().validate().is_ok());
         assert!(CellConfig::testbed_mumimo2().validate().is_ok());
-        assert!(CellConfig::emulation_mumimo4().validate().is_ok());
     }
 
     #[test]
     fn max_group_size_is_f_times_m() {
         assert_eq!(CellConfig::testbed_siso().max_group_size(), 2);
         assert_eq!(CellConfig::testbed_mumimo2().max_group_size(), 4);
-        assert_eq!(CellConfig::emulation_mumimo4().max_group_size(), 8);
     }
 
     #[test]
@@ -115,7 +104,8 @@ mod tests {
         c.overschedule_factor = 0.5;
         assert!(c.validate().is_err());
 
-        let mut c = CellConfig::emulation_mumimo4();
+        let mut c = CellConfig::testbed_siso();
+        c.m_antennas = 4;
         c.overschedule_factor = 3.0; // 12 > 8 pilots
         assert!(c.validate().is_err());
 

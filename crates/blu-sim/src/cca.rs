@@ -79,16 +79,6 @@ pub enum CcaOutcome {
 }
 
 impl CcaOutcome {
-    /// Evaluate energy-detect CCA from a total received interference
-    /// power against a threshold.
-    pub fn from_energy(total_interference: Dbm, threshold: Dbm) -> Self {
-        if total_interference >= threshold {
-            CcaOutcome::Busy
-        } else {
-            CcaOutcome::Idle
-        }
-    }
-
     /// Whether the outcome permits transmission.
     pub fn is_idle(self) -> bool {
         matches!(self, CcaOutcome::Idle)
@@ -129,10 +119,6 @@ mod tests {
 
     #[test]
     fn cca_outcome() {
-        let th = Dbm(-72.0);
-        assert_eq!(CcaOutcome::from_energy(Dbm(-70.0), th), CcaOutcome::Busy);
-        assert_eq!(CcaOutcome::from_energy(Dbm(-72.0), th), CcaOutcome::Busy);
-        assert_eq!(CcaOutcome::from_energy(Dbm(-80.0), th), CcaOutcome::Idle);
         assert!(CcaOutcome::Idle.is_idle());
         assert!(!CcaOutcome::Busy.is_idle());
     }

@@ -106,11 +106,6 @@ impl<E> EventQueue<E> {
             (e.at, e.event)
         })
     }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Micros> {
-        self.heap.peek().map(|e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -169,10 +164,8 @@ mod tests {
     fn len_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule_at(Micros(3), ());
         q.schedule_at(Micros(1), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Micros(1)));
     }
 }

@@ -150,11 +150,6 @@ impl RayleighBlockFading {
             .map(|_| Complex::new(rng.gaussian() * s, rng.gaussian() * s))
             .collect()
     }
-
-    /// Scalar channel power gain `|h|²` for a SISO link (mean 1).
-    pub fn power_gain(&self, link: u64, subframe: u64) -> f64 {
-        self.channel(link, subframe, 1)[0].norm_sq()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +212,10 @@ mod tests {
     fn unit_average_power() {
         let f = RayleighBlockFading::new(DetRng::seed_from_u64(7), 1);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|sf| f.power_gain(1, sf)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n)
+            .map(|sf| f.channel(1, sf, 1)[0].norm_sq())
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 1.0).abs() < 0.03, "mean gain {mean}");
     }
 
@@ -226,7 +224,10 @@ mod tests {
         // P(|h|² < 0.1) = 1 − e^(−0.1) ≈ 0.0952 for unit-mean Rayleigh power.
         let f = RayleighBlockFading::new(DetRng::seed_from_u64(8), 1);
         let n = 50_000;
-        let frac = (0..n).filter(|&sf| f.power_gain(3, sf) < 0.1).count() as f64 / n as f64;
+        let frac = (0..n)
+            .filter(|&sf| f.channel(3, sf, 1)[0].norm_sq() < 0.1)
+            .count() as f64
+            / n as f64;
         assert!((frac - 0.0952).abs() < 0.01, "deep-fade fraction {frac}");
     }
 }

@@ -167,12 +167,7 @@ impl Default for RuntimeFaultState {
     }
 }
 
-impl RuntimeFaultState {
-    /// Whether any runtime fault is active.
-    pub fn is_faulty(&self) -> bool {
-        self.stall_factor > 1 || self.panic || self.poison_rate > 0.0
-    }
-}
+impl RuntimeFaultState {}
 
 /// A subframe-ordered fault scenario.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -312,16 +307,6 @@ impl FaultScript {
         state
     }
 
-    /// Whether the script ever corrupts the observation path.
-    pub fn has_observation_faults(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e.kind,
-                FaultKind::MisclassifyRate { .. } | FaultKind::DropRate { .. }
-            )
-        })
-    }
-
     /// The inference-runtime fault knobs in force at subframe `sf`
     /// (step function over the scripted changes, like
     /// [`obs_state_at`](Self::obs_state_at)).
@@ -339,18 +324,6 @@ impl FaultScript {
             }
         }
         state
-    }
-
-    /// Whether the script ever faults the inference runtime itself.
-    pub fn has_runtime_faults(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e.kind,
-                FaultKind::InferenceStall { .. }
-                    | FaultKind::InferencePanic { .. }
-                    | FaultKind::StatPoison { .. }
-            )
-        })
     }
 
     /// The subframes at which [`FaultKind::CellCrash`] events fire,
@@ -719,8 +692,7 @@ mod tests {
                 kind: FaultKind::InferencePanic { active: false },
             },
         ]);
-        assert!(script.has_runtime_faults());
-        assert!(!script.runtime_state_at(0).is_faulty());
+        assert_eq!(script.runtime_state_at(0), RuntimeFaultState::default());
         assert_eq!(script.runtime_state_at(99), RuntimeFaultState::default());
         assert_eq!(script.runtime_state_at(100).stall_factor, 10);
         assert!(!script.runtime_state_at(299).panic);
@@ -730,7 +702,6 @@ mod tests {
         let late = script.runtime_state_at(9_999);
         assert!(!late.panic, "panic disarmed at 700");
         assert_eq!(late.stall_factor, 10);
-        assert!(late.is_faulty());
     }
 
     #[test]
@@ -795,7 +766,10 @@ mod tests {
         // fault knobs — it is strictly a process-level event.
         assert!(!FaultKind::CellCrash.is_topological());
         assert!(script.topology_event_subframes().is_empty());
-        assert!(!script.runtime_state_at(10_000).is_faulty());
+        assert_eq!(
+            script.runtime_state_at(10_000),
+            RuntimeFaultState::default()
+        );
         let mut topo = base_topo();
         let before = topo.clone();
         assert!(!apply_topology_fault(&mut topo, &FaultKind::CellCrash).unwrap());

@@ -4,7 +4,7 @@
 //! small-scale fading into received power, and aggregates interference
 //! in the linear domain into an SINR that `blu-phy` maps to a rate.
 
-use crate::power::{ratio_to_db, Db, Dbm, MilliWatts};
+use crate::power::{Dbm, MilliWatts};
 use serde::{Deserialize, Serialize};
 
 /// Thermal noise floor for a given bandwidth at room temperature with
@@ -48,14 +48,10 @@ pub fn sinr_linear(signal: Received, interferers: &[Received], noise: Dbm) -> f6
     s / (i + n)
 }
 
-/// Compute SINR in dB.
-pub fn sinr_db(signal: Received, interferers: &[Received], noise: Dbm) -> Db {
-    ratio_to_db(sinr_linear(signal, interferers, noise))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::ratio_to_db;
 
     #[test]
     fn noise_floor_10mhz() {
@@ -70,7 +66,7 @@ mod tests {
             power: Dbm(-67.0),
             fading_gain: 1.0,
         };
-        let snr = sinr_db(sig, &[], lte_10mhz_noise_floor());
+        let snr = ratio_to_db(sinr_linear(sig, &[], lte_10mhz_noise_floor()));
         assert!((snr.0 - 30.0).abs() < 1e-6, "{snr:?}");
     }
 
@@ -84,7 +80,7 @@ mod tests {
             power: Dbm(-70.0),
             fading_gain: 1.0,
         };
-        let sinr = sinr_db(sig, &[intf], Dbm(-120.0));
+        let sinr = ratio_to_db(sinr_linear(sig, &[intf], Dbm(-120.0)));
         assert!((sinr.0 - 10.0).abs() < 0.01, "{sinr:?}");
     }
 
@@ -95,7 +91,7 @@ mod tests {
             fading_gain: 0.5,
         };
         // Half power = −3.01 dB.
-        let snr = sinr_db(sig, &[], Dbm(-90.0));
+        let snr = ratio_to_db(sinr_linear(sig, &[], Dbm(-90.0)));
         assert!((snr.0 - (30.0 - 3.0103)).abs() < 0.01, "{snr:?}");
     }
 

@@ -31,11 +31,6 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// Whether this node is part of the LTE cell.
-    pub fn is_lte(self) -> bool {
-        matches!(self, NodeKind::Enb | NodeKind::Ue)
-    }
-
     /// Whether this node is a WiFi device.
     pub fn is_wifi(self) -> bool {
         matches!(self, NodeKind::WifiAp | NodeKind::WifiSta)
@@ -88,12 +83,9 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(NodeKind::Enb.is_lte());
-        assert!(NodeKind::Ue.is_lte());
         assert!(!NodeKind::Ue.is_wifi());
         assert!(NodeKind::WifiAp.is_wifi());
         assert!(NodeKind::WifiSta.is_wifi());
-        assert!(!NodeKind::WifiSta.is_lte());
     }
 
     #[test]

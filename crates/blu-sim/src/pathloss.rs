@@ -47,15 +47,6 @@ impl LogDistance {
             ref_distance_m: 1.0,
         }
     }
-
-    /// Free-space profile at 5.2 GHz (exponent 2).
-    pub fn free_space_5ghz() -> Self {
-        LogDistance {
-            ref_loss_db: 47.0,
-            exponent: 2.0,
-            ref_distance_m: 1.0,
-        }
-    }
 }
 
 impl PathLossModel for LogDistance {
@@ -77,16 +68,7 @@ pub struct ItuIndoor {
     pub floor_loss_db: f64,
 }
 
-impl ItuIndoor {
-    /// Same-floor office at 5.2 GHz.
-    pub fn office_5ghz() -> Self {
-        ItuIndoor {
-            freq_mhz: 5_200.0,
-            power_loss_coeff: 30.0,
-            floor_loss_db: 0.0,
-        }
-    }
-}
+impl ItuIndoor {}
 
 impl PathLossModel for ItuIndoor {
     fn loss(&self, distance_m: f64) -> Db {
@@ -209,7 +191,11 @@ mod tests {
 
     #[test]
     fn itu_indoor_plausible_at_10m() {
-        let m = ItuIndoor::office_5ghz();
+        let m = ItuIndoor {
+            freq_mhz: 5_200.0,
+            power_loss_coeff: 30.0,
+            floor_loss_db: 0.0,
+        };
         let l = m.loss(10.0);
         // 20·log10(5200) + 30·log10(10) − 28 ≈ 76.3 dB
         assert!((l.0 - 76.32).abs() < 0.1, "{l:?}");
@@ -217,7 +203,11 @@ mod tests {
 
     #[test]
     fn receive_applies_loss() {
-        let m = LogDistance::free_space_5ghz();
+        let m = LogDistance {
+            ref_loss_db: 47.0,
+            exponent: 2.0,
+            ref_distance_m: 1.0,
+        };
         let rx = m.receive(Dbm(20.0), 10.0);
         assert!((rx.0 - (20.0 - 67.0)).abs() < 1e-9);
     }

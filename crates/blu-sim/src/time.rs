@@ -54,11 +54,6 @@ impl Micros {
         self.0
     }
 
-    /// This instant expressed in (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// This instant expressed in (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -184,7 +179,6 @@ mod tests {
 
     #[test]
     fn float_conversions() {
-        assert!((Micros(1_500).as_millis_f64() - 1.5).abs() < 1e-12);
         assert!((Micros(2_500_000).as_secs_f64() - 2.5).abs() < 1e-12);
     }
 

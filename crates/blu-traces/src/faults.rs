@@ -58,14 +58,6 @@ pub struct FaultyCapture {
     pub script: FaultScript,
 }
 
-impl FaultyCapture {
-    /// The ground-truth topology in force at subframe `sf`.
-    pub fn topology_at(&self, sf: u64) -> &InterferenceTopology {
-        let idx = self.epochs.partition_point(|e| e.start_sf <= sf);
-        &self.epochs[idx.saturating_sub(1)].topology
-    }
-}
-
 /// Capture a synthetic trace with a [`FaultScript`] applied.
 ///
 /// Epoch 0 reproduces
@@ -284,8 +276,7 @@ mod tests {
         assert_eq!(faulty.epochs.len(), 2);
         assert_eq!(faulty.epochs[1].start_sf, 5_000);
         assert_eq!(faulty.epochs[1].topology.n_hidden(), cfg.n_hts + 1);
-        assert_eq!(faulty.topology_at(0).n_hidden(), cfg.n_hts);
-        assert_eq!(faulty.topology_at(5_000).n_hidden(), cfg.n_hts + 1);
+        assert_eq!(faulty.epochs[0].topology.n_hidden(), cfg.n_hts);
 
         // Victims of the new HT lose measurable access share.
         let blocked_share = |lo: usize, hi: usize| {

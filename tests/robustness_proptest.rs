@@ -155,7 +155,6 @@ proptest! {
         let _ = script.topology_event_subframes();
         let _ = script.obs_state_at(0);
         let _ = script.obs_state_at(25_000);
-        let _ = script.has_observation_faults();
         let _ = script.n_appearing();
         // Validation itself must be total (Ok or typed error).
         let _ = script.validate(6, 4);
